@@ -329,6 +329,10 @@ pub struct Cluster {
     /// Reused scratch for [`Cluster::pump`] (NIC outputs drained per event).
     // detlint::allow(T003, pump scratch: drained to empty before every event completes)
     out_buf: Vec<NicOutput>,
+    /// Hosts whose NIC was handed out mutably since the last
+    /// [`Cluster::pump`] (see [`Cluster::touch_nic`]); duplicates allowed.
+    // detlint::allow(T003, pump scratch: sorted, drained and emptied before every event completes)
+    dirty_nics: Vec<HostId>,
     // detlint::allow(T003, per-run GM protocol configuration: fixed before the first event and never mutated)
     gm: GmConfig,
     // detlint::allow(T003, per-run fault schedule: fixed before the first event; its effects land in digested NIC/host state)
@@ -437,6 +441,7 @@ impl Cluster {
             pending_submissions: FxHashMap::default(),
             ind_buf: Vec::new(),
             out_buf: Vec::new(),
+            dirty_nics: Vec::new(),
             gm: p.gm,
             crashes: p.faults.crashes,
             connection_failures: Vec::new(),
@@ -1349,9 +1354,25 @@ impl Cluster {
     // Event handling
     // ------------------------------------------------------------------
 
+    /// Mutable access to `host`'s NIC (and the network it drives). The one
+    /// way to reach a `&mut Nic`: it records the host on the dirty list, so
+    /// the next [`Cluster::pump`] drains whatever outputs the NIC produced.
+    fn touch_nic(&mut self, host: HostId) -> (&mut Nic, &mut Network) {
+        self.dirty_nics.push(host);
+        (&mut self.nics[host.idx()], &mut self.net)
+    }
+
     /// Route indications and outputs after any net/nic activity. Runs once
-    /// per dispatched event, so the drain buffers are owned by the cluster
-    /// and recycled — the steady-state loop allocates nothing here.
+    /// per dispatched event and costs O(work done), not O(hosts): network
+    /// indications go to their NICs, then only the NICs this event touched
+    /// (the dirty list filled by [`Cluster::touch_nic`], usually 0–2 hosts)
+    /// are drained. They are drained in ascending host order, the order a
+    /// walk over every NIC would use, because the GM layer handles the
+    /// outputs in drain order: ACK and delivery scheduling, schedule
+    /// sequence numbers and every digest depend on it. Debug builds check
+    /// after the drain that no NIC kept outputs, which catches a NIC reached
+    /// without `touch_nic`. The drain buffers are owned by the cluster and
+    /// recycled, so the steady-state loop allocates nothing here.
     fn pump(&mut self, now: SimTime, q: &mut EventQueue<ClusterEvent>) {
         let mut inds = std::mem::take(&mut self.ind_buf);
         loop {
@@ -1366,21 +1387,33 @@ impl Cluster {
                     | HostIndication::PacketComplete { host, .. }
                     | HostIndication::InjectionComplete { host, .. } => host,
                 };
-                let mut sink = Sink(q);
-                self.nics[host.idx()].on_indication(ind, now, &mut self.net, &mut sink);
+                let (nic, net) = self.touch_nic(host);
+                nic.on_indication(ind, now, net, &mut Sink(q));
             }
         }
         self.ind_buf = inds;
-        // Collect NIC outputs into the GM layer.
+        // Collect the touched NICs' outputs into the GM layer.
         let mut outs = std::mem::take(&mut self.out_buf);
         outs.clear();
-        for nic in &mut self.nics {
-            nic.drain_outputs_into(&mut outs);
-        }
+        self.drain_touched_nics(&mut outs);
+        debug_assert!(
+            !self.nics.iter().any(Nic::has_outputs),
+            "a NIC produced outputs without going through `touch_nic`"
+        );
         for out in outs.drain(..) {
             self.on_nic_output(out, now, q);
         }
         self.out_buf = outs;
+    }
+
+    /// Append the outputs of every NIC touched since the last drain to
+    /// `outs`, in ascending host order, and empty the dirty list.
+    fn drain_touched_nics(&mut self, outs: &mut Vec<NicOutput>) {
+        self.dirty_nics.sort_unstable();
+        self.dirty_nics.dedup();
+        for host in self.dirty_nics.drain(..) {
+            self.nics[host.idx()].drain_outputs_into(outs);
+        }
     }
 
     fn on_nic_output(&mut self, out: NicOutput, now: SimTime, q: &mut EventQueue<ClusterEvent>) {
@@ -1457,8 +1490,8 @@ impl Cluster {
         match ev {
             HostEvent::SubmitPacket { host, token } => {
                 if let Some(desc) = self.pending_submissions.remove(&token) {
-                    let mut sink = Sink(q);
-                    self.nics[host.idx()].submit_send(token, desc, now, &mut self.net, &mut sink);
+                    let (nic, net) = self.touch_nic(host);
+                    nic.submit_send(token, desc, now, net, &mut Sink(q));
                 }
             }
             HostEvent::SendAck { host, to, seq } => {
@@ -1470,8 +1503,8 @@ impl Cluster {
                     tag: PacketMeta::ack(seq).encode(),
                     src: host,
                 };
-                let mut sink = Sink(q);
-                self.nics[host.idx()].submit_send(token, desc, now, &mut self.net, &mut sink);
+                let (nic, net) = self.touch_nic(host);
+                nic.submit_send(token, desc, now, net, &mut Sink(q));
             }
             HostEvent::AppSend { host } => self.on_app_send(host, now, q),
             HostEvent::AppDeliver {
@@ -1524,11 +1557,11 @@ impl Cluster {
             }
             HostEvent::NicCrash { host } => {
                 self.crashes_injected += 1;
-                let mut sink = Sink(q);
-                self.nics[host.idx()].crash(now, &mut self.net, &mut sink);
+                let (nic, net) = self.touch_nic(host);
+                nic.crash(now, net, &mut Sink(q));
             }
             HostEvent::NicRecover { host } => {
-                self.nics[host.idx()].recover();
+                self.touch_nic(host).0.recover();
             }
         }
     }
@@ -1686,8 +1719,8 @@ impl World for Cluster {
                 let host = match e {
                     NicEvent::Cpu { host, .. } | NicEvent::Dma { host, .. } => host,
                 };
-                let mut sink = Sink(q);
-                self.nics[host.idx()].handle(now, e, &mut self.net, &mut sink);
+                let (nic, net) = self.touch_nic(host);
+                nic.handle(now, e, net, &mut Sink(q));
             }
             ClusterEvent::Host(e) => self.on_host_event(e, now, q),
             ClusterEvent::Sample => self.on_sample(now, q),
@@ -1700,6 +1733,7 @@ impl World for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use itb_net::PacketId;
 
     #[test]
     fn cluster_event_stays_small() {
@@ -1711,5 +1745,67 @@ mod tests {
             "ClusterEvent grew to {} bytes — box the fat variant instead",
             std::mem::size_of::<ClusterEvent>()
         );
+    }
+
+    #[test]
+    fn drain_takes_only_touched_nics_in_host_order() {
+        let n = 2;
+        let mut c = Cluster::new(ClusterParams {
+            topo: itb_topo::builders::chain(1, n),
+            net: NetConfig::default(),
+            mcp: McpTiming::lanai7(),
+            flavor: McpFlavor::Itb,
+            routing: RoutingPolicy::UpDown,
+            itb_selection: ItbHostSelection::RoundRobin,
+            gm: GmConfig::default(),
+            behaviors: vec![AppBehavior::Sink; n],
+            route_overrides: vec![],
+            faults: FaultPlan::default(),
+            seed: 1,
+        });
+        let mut q = EventQueue::new();
+        let now = SimTime::ZERO;
+        // A crashed NIC answers every packet head with a `Flushed` output.
+        // Crash both NICs behind the dirty list's back, then let a head
+        // reach each of them.
+        let head = |h: u16| HostIndication::HeadArrived {
+            host: HostId(h),
+            packet: PacketId(u64::from(h)),
+        };
+        for h in 0..n {
+            c.nics[h].crash(now, &mut c.net, &mut Sink(&mut q));
+        }
+        let (nic, net) = c.touch_nic(HostId(1));
+        nic.on_indication(head(1), now, net, &mut Sink(&mut q));
+        c.nics[0].on_indication(head(0), now, &mut c.net, &mut Sink(&mut q));
+        let flushed_hosts = |outs: &[NicOutput]| -> Vec<HostId> {
+            outs.iter()
+                .map(|o| match *o {
+                    NicOutput::Flushed { host, .. } => host,
+                    _ => unreachable!("only flushes were produced"),
+                })
+                .collect()
+        };
+        let mut outs = Vec::new();
+        c.drain_touched_nics(&mut outs);
+        assert_eq!(
+            flushed_hosts(&outs),
+            [HostId(1)],
+            "only the touched NIC is drained"
+        );
+        assert!(
+            c.nics[0].has_outputs(),
+            "the untouched NIC keeps its output"
+        );
+        assert!(c.dirty_nics.is_empty());
+        // Marking a host twice, out of order, drains it once, in host order.
+        let (nic, net) = c.touch_nic(HostId(1));
+        nic.on_indication(head(1), now, net, &mut Sink(&mut q));
+        c.touch_nic(HostId(0));
+        c.touch_nic(HostId(1));
+        outs.clear();
+        c.drain_touched_nics(&mut outs);
+        assert_eq!(flushed_hosts(&outs), [HostId(0), HostId(1)]);
+        assert!(!c.nics.iter().any(Nic::has_outputs));
     }
 }

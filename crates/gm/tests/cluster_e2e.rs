@@ -442,3 +442,54 @@ fn receive_backpressure_stalls_instead_of_dropping() {
     assert!(c.nic(tb.host2).stats().rx_stalls > 0, "stalls must occur");
     assert_eq!(c.host(tb.host1).tx[tb.host2.idx()].retransmissions, 0);
 }
+
+#[test]
+fn itb_stream_with_acks_and_a_crash_delivers_exactly_once() {
+    // Reaches every call site that hands out a NIC mutably: CPU/DMA
+    // dispatch, network indications, data and ACK submission, and a crash
+    // of the in-transit host. In a debug build `Cluster::pump` asserts
+    // after each event that no NIC kept undrained outputs, so dispatch,
+    // indication or crash skipping the dirty list fails this test.
+    // (Submission only queues work for the NIC's CPU and yields no output
+    // by itself.)
+    let tb = fig6_testbed();
+    let behaviors = vec![
+        AppBehavior::Stream {
+            dst: tb.host2,
+            size: 2048,
+            count: 20,
+        },
+        AppBehavior::Sink,
+        AppBehavior::Sink,
+    ];
+    let mut p = fig6_params(McpFlavor::Itb, behaviors);
+    p.route_overrides = vec![
+        figures::fig8_itb_route(&tb),
+        figures::fig8_return_route(&tb),
+    ];
+    // At 27 µs a packet sits in the in-transit host's buffers, so the crash
+    // itself flushes it; heads arriving while the NIC is down flush too.
+    p.faults =
+        FaultPlan::seeded(5).with_crash(tb.itb_host, SimTime::from_us(27), SimTime::from_us(400));
+    assert!(p.gm.reliability, "ACKs need GM reliability");
+    let mut c = Cluster::new(p);
+    let mut q = EventQueue::new();
+    c.start(&mut q);
+    run_until(&mut c, &mut q, SimTime::from_ms(400));
+    let mut ids: Vec<u32> = c
+        .delivery_log()
+        .iter()
+        .map(|&(from, to, id)| {
+            assert_eq!((from, to), (tb.host1, tb.host2));
+            id
+        })
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..20).collect::<Vec<_>>(), "every message once");
+    assert!(c.nic(tb.itb_host).stats().crash_flushes > 0);
+    assert!(c.nic(tb.itb_host).stats().itb_forwards > 0);
+    assert!(c.nic(tb.host2).stats().sends > 0, "host2 sent ACKs");
+    let snap = c.metrics_snapshot(SimTime::from_ms(400));
+    assert_eq!(snap.counters["gm.crashes_injected"], 1);
+    assert!(snap.counters["gm.drops_observed"] > 0);
+}

@@ -102,8 +102,8 @@ impl NetEvent {
     }
 }
 
-/// What the network tells the NIC layer. Drained with
-/// [`Network::take_indications`] after each handled event.
+/// What the network tells the NIC layer. The event loop drains these with
+/// [`Network::drain_indications_into`] after each handled event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostIndication {
     /// First flit (≥ 4 bytes) of a packet reached the host — the trigger

@@ -267,14 +267,13 @@ impl Nic {
         self.recv.get(&id.0).map(|st| format!("{st:?}"))
     }
 
-    /// Drain outputs for the GM layer.
-    pub fn take_outputs(&mut self) -> Vec<NicOutput> {
-        std::mem::take(&mut self.outputs)
+    /// Whether outputs are waiting for the GM layer.
+    pub fn has_outputs(&self) -> bool {
+        !self.outputs.is_empty()
     }
 
-    /// Append pending outputs to `buf`, keeping this NIC's buffer capacity.
-    /// The cluster event loop prefers this over [`Nic::take_outputs`]: no
-    /// per-event allocation.
+    /// Drain outputs for the GM layer: append them to `buf`, keeping this
+    /// NIC's buffer capacity, so the event loop allocates nothing per event.
     pub fn drain_outputs_into(&mut self, buf: &mut Vec<NicOutput>) {
         buf.append(&mut self.outputs);
     }

@@ -53,11 +53,9 @@ impl World {
 
     fn drain_nic_outputs(&mut self, now: SimTime) {
         for nic in &mut self.nics {
-            for o in nic.take_outputs() {
-                self.outputs.push(o);
-                self.output_times.push(now);
-            }
+            nic.drain_outputs_into(&mut self.outputs);
         }
+        self.output_times.resize(self.outputs.len(), now);
     }
 
     fn pump_indications(&mut self, now: SimTime, q: &mut EventQueue<Ev>) {

@@ -14,6 +14,12 @@ cargo test -q
 echo "== cargo test --workspace =="
 cargo test --workspace -q
 
+echo "== cargo test perfbench (the benchmark's own correctness gate) =="
+# perfbench/ is a package with its own [workspace], so --workspace above
+# does not reach it. Its tests check that traced and untraced runs agree on
+# every work counter and that the Fig. 7/8 runs equal the committed results/.
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "== detlint v2 (determinism & soundness analyzer, hard gate) =="
 # Zero-dependency lex -> parse -> call-graph -> rules pipeline: default-hasher
 # maps, wall-clock/entropy/environment reads in sim code, float event-time
