@@ -614,21 +614,23 @@ impl Cluster {
         self.flow_mode.as_ref().map_or(0, |fm| fm.flow_msgs)
     }
 
-    /// One coarse flow round: re-solve the max-min rates over the live
-    /// flow set, escalate any Flow region whose links solved too close to
-    /// saturation (handing its flows back to the packet path with their
-    /// remaining bytes), then commit one `round` of service — completions
-    /// schedule their `AppDeliver` at the exact quantised offset, clamped
-    /// per (src, dst) pair so flow deliveries stay FIFO. Reschedules
+    /// One coarse flow round: escalate any Flow region whose busiest
+    /// channel carries [`ESCALATE_CONTENTION`] or more live flows (handing
+    /// its flows back to the packet path with their remaining bytes),
+    /// re-solve the max-min rates over the surviving flow set once, then
+    /// commit one `round` of service — completions schedule their
+    /// `AppDeliver` at the exact quantised offset, clamped per (src, dst)
+    /// pair so flow deliveries stay FIFO. Reschedules
     /// itself while flows remain; otherwise the next flow-eligible send
     /// re-arms it.
     fn on_flow_round(&mut self, now: SimTime, q: &mut EventQueue<ClusterEvent>) {
         // detlint::allow(S001, FlowRound events are only scheduled in flow mode)
         let mut fm = self.flow_mode.take().expect("FlowRound requires flow mode");
-        fm.net.solve();
 
         // Escalation sweep: regions whose busiest channel reached the
-        // contention-depth trigger leave the flow model for good.
+        // contention-depth trigger leave the flow model for good. It reads
+        // only live-flow occupancy, never solved rates, so it runs before
+        // the round's single solve.
         let mut escalated = false;
         for r in 0..fm.plan.part.shards {
             if fm.plan.fidelity[r as usize] == RegionFidelity::Flow
@@ -668,9 +670,8 @@ impl Cluster {
                     self.pump_conn(flow.src, flow.dst, now, true, q);
                 }
             }
-            // The surviving flows re-share the freed capacity this round.
-            fm.net.solve();
         }
+        fm.net.solve();
 
         for done in fm.net.advance(fm.round) {
             let msg_id: u32 = narrow(done.id);

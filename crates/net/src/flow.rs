@@ -12,6 +12,24 @@
 //! only assigns *uncongested, ITB-free* regions to this model and
 //! escalates anything else to packet fidelity.
 //!
+//! ## Layout and costs
+//!
+//! The solver touches only dense arrays:
+//!
+//! * every route lives in one arena owned by the [`FlowNet`]; a flow
+//!   keeps its `(offset, length)` span plus a *dense index*. Flows open
+//!   in strictly increasing id order, so the arena is in id order too;
+//! * the channel→flow index (CSR layout, dense-index order within each
+//!   channel) persists across solves. It is rebuilt — arena compacted in
+//!   place, dense indices reassigned in id order — only after arrivals,
+//!   or once closed/completed flows (tombstones) outnumber live ones;
+//! * a closed or completed flow sets a tombstone bit at its dense index,
+//!   and a solve starts with those flows already frozen.
+//!
+//! A rebuild is O(live route entries). A solve on a reused index is
+//! O(index items + freezes), with no per-flow slab lookup: its only slab
+//! touch is one id-order sweep writing the solved rates back.
+//!
 //! ## Determinism
 //!
 //! Everything is a pure function of the topology and the flow set:
@@ -22,7 +40,9 @@
 //!   channel index)` order under `f64::total_cmp` and freezes flows in id
 //!   order within each channel, so its f64 operations execute in a fixed
 //!   sequence — IEEE 754 arithmetic is deterministic when the operation
-//!   order is;
+//!   order is. Tombstones change which index items are skipped, never
+//!   that sequence, so a reused index solves bit-identically to a fresh
+//!   one;
 //! * each solved rate crosses to integer picoseconds exactly once via
 //!   [`ByteInterval::from_rate`]; rounds, completions and byte counts are
 //!   integer arithmetic from there on.
@@ -52,17 +72,17 @@ pub struct Flow {
     pub remaining: u64,
     /// Quantised service interval from the last solve.
     pub interval: ByteInterval,
-    /// Directed channels the flow crosses, in path order.
-    route: Vec<Chan>,
-    /// Solver scratch: true once the flow's rate froze this solve.
-    frozen: bool,
+    /// Route span in the arena: directed channels in path order.
+    off: u32,
+    len: u32,
+    /// Position in the dense solver arrays; valid while the channel
+    /// index is not stale.
+    dense: u32,
 }
 
 impl Flow {
-    /// The directed channels the flow crosses, in path order (source
-    /// host uplink first, destination host downlink last).
-    pub fn route(&self) -> &[Chan] {
-        &self.route
+    fn span(&self) -> std::ops::Range<usize> {
+        self.off as usize..(self.off + self.len) as usize
     }
 }
 
@@ -75,6 +95,34 @@ pub struct FlowCompletion {
     /// Completion instant as an offset from the round start. Always at
     /// most the advanced window.
     pub offset: SimDuration,
+}
+
+/// The channel→flow index the solver runs on, kept across solves.
+#[derive(Default)]
+struct ChanIndex {
+    /// CSR offsets: the flows on channel `c` are
+    /// `items[off[c]..off[c + 1]]`, ascending dense index (= id order).
+    off: Vec<u32>,
+    items: Vec<u32>,
+    /// Arena span `(offset, length)` per dense index.
+    spans: Vec<(u32, u32)>,
+    /// Bitset over dense indices: flows closed or completed since the
+    /// last rebuild.
+    tombs: Vec<u64>,
+    buried: usize,
+    /// A flow opened since the last rebuild, so the index misses it.
+    stale: bool,
+}
+
+impl ChanIndex {
+    /// Retire dense slot `dense` from the index. A stale index is rebuilt
+    /// before its next use anyway, so it needs no tombstone.
+    fn bury(&mut self, dense: u32) {
+        if !self.stale {
+            set_bit(&mut self.tombs, dense);
+            self.buried += 1;
+        }
+    }
 }
 
 /// The flow-level fabric: deterministic shortest routes, max-min fair
@@ -96,26 +144,32 @@ pub struct FlowNet {
     /// from the configured link bandwidth).
     cap: Vec<f64>,
     flows: IdSlab<Flow>,
+    /// Route arena: one span per flow, spans in flow-id order. Closed and
+    /// completed flows leave dead spans until the next index rebuild
+    /// compacts the arena in place.
+    routes: Vec<Chan>,
+    /// Highest id opened so far, for the strictly-increasing contract.
+    last_id: Option<u64>,
     /// Live flows per directed channel, maintained on open/close/complete.
     /// This — not utilisation — is the escalation signal: a work-conserving
     /// max-min solve drives every busy flow's bottleneck to 100% by
     /// construction, so "links near capacity" carries no information, but
     /// many worms sharing one channel is exactly the regime where the
     /// fluid model averages away HOL blocking and Stop&Go backpressure.
+    /// It is also each solve's initial unfrozen load.
     occupancy: Vec<u32>,
     /// Rates allocated by the last solve, in bytes/ns per channel
     /// (reporting + diagnostics).
     alloc: Vec<f64>,
-    /// Solver scratch: unfrozen flows per channel during a solve.
+    /// Solver scratch: unfrozen flows per channel during a solve (and the
+    /// scatter cursor during an index rebuild).
     load: Vec<u32>,
-    /// Solver scratch, reused across solves so the steady-state hot path
-    /// allocates nothing: live flow ids, CSR offsets/cursor/items for the
-    /// channel→flow adjacency, and the bottleneck heap's backing store.
-    scratch_ids: Vec<u64>,
-    scratch_off: Vec<u32>,
-    scratch_cursor: Vec<u32>,
-    scratch_items: Vec<u32>,
-    scratch_heap: std::collections::BinaryHeap<ChanSat>,
+    index: ChanIndex,
+    /// Solver scratch over dense indices, reused across solves: the
+    /// frozen bitset, the solved rate, the bottleneck heap's store.
+    frozen: Vec<u64>,
+    rate: Vec<f64>,
+    heap: std::collections::BinaryHeap<ChanSat>,
     total_delivered: u64,
     solves: u64,
 }
@@ -126,7 +180,7 @@ impl FlowNet {
     ///
     /// Runs one BFS per switch to fill the predecessor matrix — O(V·E),
     /// a few milliseconds at 1024 switches — so route lookup afterwards
-    /// is a pure parent walk with no allocation beyond the route buffer.
+    /// is a pure parent walk with no allocation beyond the route arena.
     pub fn new(topo: &Topology, link_bytes_per_ns: f64) -> Self {
         let n = topo.num_switches();
         assert!(n > 0, "flow fabric needs at least one switch");
@@ -173,32 +227,47 @@ impl FlowNet {
             host_down,
             cap: vec![link_bytes_per_ns; channels],
             flows: IdSlab::default(),
+            routes: Vec::new(),
+            last_id: None,
             occupancy: vec![0; channels],
             alloc: vec![0.0; channels],
             load: vec![0; channels],
-            scratch_ids: Vec::new(),
-            scratch_off: Vec::new(),
-            scratch_cursor: Vec::new(),
-            scratch_items: Vec::new(),
-            scratch_heap: std::collections::BinaryHeap::new(),
+            index: ChanIndex::default(),
+            frozen: Vec::new(),
+            rate: Vec::new(),
+            heap: std::collections::BinaryHeap::new(),
             total_delivered: 0,
             solves: 0,
         }
     }
 
-    /// Open flow `id` (the caller's message id; ids must be roughly
-    /// increasing, per the [`IdSlab`] sliding-window contract) carrying
-    /// `bytes` from `src` to `dst`. The route is fixed at open time.
+    /// Open flow `id` (the caller's message id) carrying `bytes` from
+    /// `src` to `dst`. The route is fixed at open time and written
+    /// straight into the route arena.
+    ///
+    /// Ids must strictly increase from one `open` to the next: that keeps
+    /// the arena in id order, which is what lets an index rebuild compact
+    /// it in place. Both callers hand out ids from a counter.
+    ///
+    /// # Panics
+    /// Panics if `id` is not greater than every id opened before.
     ///
     /// The new flow serves at a stalled rate until the next [`solve`] —
     /// callers re-solve at the round boundary after admitting arrivals.
     ///
     /// [`solve`]: FlowNet::solve
     pub fn open(&mut self, id: u64, src: HostId, dst: HostId, bytes: u64) {
-        let route = self.route_of(src, dst);
-        for &c in &route {
+        assert!(
+            self.last_id.is_none_or(|last| id > last),
+            "flow id {id} opened out of order"
+        );
+        self.last_id = Some(id);
+        let off = self.routes.len();
+        self.push_route(src, dst);
+        for &c in &self.routes[off..] {
             self.occupancy[c as usize] += 1;
         }
+        self.index.stale = true;
         self.flows.insert(
             id,
             Flow {
@@ -206,8 +275,9 @@ impl FlowNet {
                 dst,
                 remaining: bytes,
                 interval: ByteInterval::from_rate(0.0),
-                route,
-                frozen: false,
+                off: narrow(off),
+                len: narrow(self.routes.len() - off),
+                dense: 0,
             },
         );
     }
@@ -216,31 +286,33 @@ impl FlowNet {
     /// caller can re-inject the remaining bytes through the packet path.
     pub fn close(&mut self, id: u64) -> Option<Flow> {
         let flow = self.flows.remove(id)?;
-        for &c in &flow.route {
+        for &c in &self.routes[flow.span()] {
             self.occupancy[c as usize] -= 1;
         }
+        self.index.bury(flow.dense);
         Some(flow)
     }
 
-    /// The switch path a `src → dst` flow takes, as directed channels:
-    /// source uplink, inter-switch hops (BFS shortest path), destination
-    /// downlink. Intra-switch flows cross just the two host links.
-    fn route_of(&self, src: HostId, dst: HostId) -> Vec<Chan> {
+    /// Append the switch path a `src → dst` flow takes to the route
+    /// arena, as directed channels: source uplink, inter-switch hops (BFS
+    /// shortest path), destination downlink. Intra-switch flows cross
+    /// just the two host links. The parent walk runs backwards, so the
+    /// span is reversed in place.
+    fn push_route(&mut self, src: HostId, dst: HostId) {
+        let start = self.routes.len();
         let s0 = usize::from(self.host_switch[src.idx()]);
         let s1 = usize::from(self.host_switch[dst.idx()]);
-        let mut rev = Vec::new();
-        rev.push(self.host_down[dst.idx()]);
+        self.routes.push(self.host_down[dst.idx()]);
         let base = s0 * self.switches;
         let mut v = s1;
         while v != s0 {
             let p = self.pred[base + v];
             assert!(p != NO_PRED, "validated topologies are connected");
-            rev.push(self.hop_chan[base + v]);
+            self.routes.push(self.hop_chan[base + v]);
             v = usize::from(p);
         }
-        rev.push(self.host_up[src.idx()]);
-        rev.reverse();
-        rev
+        self.routes.push(self.host_up[src.idx()]);
+        self.routes[start..].reverse();
     }
 
     /// The switches flow `id`'s path crosses (attachment switches
@@ -259,6 +331,51 @@ impl FlowNet {
         rev
     }
 
+    /// Rebuild the channel→flow index over the live flows: compact the
+    /// route arena in place (live spans are in id order, so each moves
+    /// down or stays), assign dense indices in id order, and scatter each
+    /// route into the CSR. `occupancy` is exactly the live flows per
+    /// channel, so it gives the CSR offsets without a counting pass.
+    fn rebuild_index(&mut self) {
+        let FlowNet {
+            flows,
+            routes,
+            occupancy,
+            load,
+            index,
+            ..
+        } = self;
+        index.off.clear();
+        index.off.push(0);
+        let mut total = 0u32;
+        for &n in occupancy.iter() {
+            total += n;
+            index.off.push(total);
+        }
+        let cursor = load;
+        cursor.copy_from_slice(&index.off[..occupancy.len()]);
+        index.items.clear();
+        index.items.resize(total as usize, 0);
+        index.spans.clear();
+        let mut write = 0usize;
+        for (_, f) in flows.iter_mut() {
+            routes.copy_within(f.span(), write);
+            f.off = narrow(write);
+            f.dense = narrow(index.spans.len());
+            index.spans.push((f.off, f.len));
+            for &c in &routes[f.span()] {
+                index.items[cursor[c as usize] as usize] = f.dense;
+                cursor[c as usize] += 1;
+            }
+            write += f.len as usize;
+        }
+        routes.truncate(write);
+        index.tombs.clear();
+        index.tombs.resize(index.spans.len().div_ceil(64), 0);
+        index.buried = 0;
+        index.stale = false;
+    }
+
     /// Max-min fair allocation over the current flow set, computed
     /// bottleneck-first. Conceptually it is progressive water filling —
     /// every unfrozen flow's rate rises in lockstep until a channel
@@ -271,10 +388,16 @@ impl FlowNet {
     /// channel's load and frozen sum) perturbs it. A lazy min-heap keyed
     /// by `(s_c, c)` therefore finds every bottleneck without touching
     /// the active flow set, and each flow is visited exactly once — when
-    /// it freezes. Total cost is `O(Σ route length · log channels)` per
-    /// solve instead of the naive `O(bottleneck levels × active flows)`,
-    /// which is the difference between milliseconds and minutes at the
-    /// 100k-flow gauntlet scale.
+    /// it freezes.
+    ///
+    /// Cost: the channel→flow index is rebuilt (O(live route entries))
+    /// only when flows opened since the last solve, or when tombstones
+    /// — flows closed or completed since the last rebuild — outnumber
+    /// live flows. Otherwise the solve reuses it with the tombstoned
+    /// flows pre-frozen, and costs O(index items + freezes ·
+    /// route length) plus the heap's `log channels` per pop, reading only
+    /// the index, the route arena and dense per-channel / per-flow arrays.
+    /// One id-order sweep then writes the rates back to the flows.
     ///
     /// Determinism: heap order is `f64::total_cmp` on the saturation
     /// level with ties to the lowest channel index, per-channel flow
@@ -297,80 +420,49 @@ impl FlowNet {
     /// true level, which is exactly the invariant the pop order needs.
     pub fn solve(&mut self) {
         self.solves += 1;
-        for a in self.alloc.iter_mut() {
-            *a = 0.0;
+        self.alloc.fill(0.0);
+        let live = self.flows.len();
+        if self.index.stale || self.index.buried > live {
+            self.rebuild_index();
         }
-        for l in self.load.iter_mut() {
-            *l = 0;
-        }
-        // Unfrozen load per channel + total route touches, one linear
-        // window sweep.
-        let FlowNet {
-            flows,
-            load,
-            scratch_ids,
-            ..
-        } = self;
-        scratch_ids.clear();
-        let mut touches = 0usize;
-        for (id, f) in flows.iter_mut() {
-            f.frozen = false;
-            touches += f.route.len();
-            for &c in &f.route {
-                load[c as usize] += 1;
-            }
-            scratch_ids.push(id);
-        }
-        if self.scratch_ids.is_empty() {
+        if live == 0 {
             return;
         }
-        // Channel → flow-index adjacency in CSR layout, flow-id order
-        // within each channel. Rebuilt per solve into persistent scratch;
-        // each flow freezes exactly once, so the freeze sweep below is
-        // O(touches) total.
-        let nch = self.cap.len();
-        self.scratch_off.clear();
-        self.scratch_off.push(0);
-        for c in 0..nch {
-            let prev = self.scratch_off[c];
-            self.scratch_off.push(prev + self.load[c]);
-        }
-        self.scratch_cursor.clear();
-        self.scratch_cursor
-            .extend_from_slice(&self.scratch_off[..nch]);
-        self.scratch_items.clear();
-        self.scratch_items.resize(touches, 0);
-        {
-            let FlowNet {
-                flows,
-                scratch_cursor,
-                scratch_items,
-                ..
-            } = self;
-            for (fi, (_, f)) in flows.iter().enumerate() {
-                for &c in &f.route {
-                    scratch_items[scratch_cursor[c as usize] as usize] = narrow(fi);
-                    scratch_cursor[c as usize] += 1;
-                }
-            }
-        }
-        let heap = &mut self.scratch_heap;
+        let FlowNet {
+            flows,
+            routes,
+            cap,
+            occupancy,
+            alloc,
+            load,
+            index,
+            frozen,
+            rate,
+            heap,
+            ..
+        } = self;
+        load.copy_from_slice(occupancy);
+        frozen.clear();
+        frozen.extend_from_slice(&index.tombs);
+        rate.resize(index.spans.len(), 0.0);
         heap.clear();
-        for c in 0..nch {
-            if self.load[c] > 0 {
-                let s = self.cap[c] / f64::from(self.load[c]);
-                heap.push(ChanSat { s, c: narrow(c) });
+        for (c, &l) in load.iter().enumerate() {
+            if l > 0 {
+                heap.push(ChanSat {
+                    s: cap[c] / f64::from(l),
+                    c: narrow(c),
+                });
             }
         }
         let mut lambda = 0.0f64;
-        let mut active = self.scratch_ids.len();
+        let mut active = live;
         while active > 0 {
             let Some(top) = heap.pop() else { break };
             let c = top.c as usize;
-            if self.load[c] == 0 {
+            if load[c] == 0 {
                 continue; // drained by freezes on other bottlenecks
             }
-            let s_now = (self.cap[c] - self.alloc[c]).max(0.0) / f64::from(self.load[c]);
+            let s_now = (cap[c] - alloc[c]).max(0.0) / f64::from(load[c]);
             if s_now.total_cmp(&top.s).is_gt() {
                 // Stale snapshot: the channel rose since this entry was
                 // pushed. Re-queue it at the current level and move on.
@@ -380,22 +472,23 @@ impl FlowNet {
             // Saturation levels are non-decreasing along the pop order in
             // exact arithmetic; the max guards against f64 rounding dips.
             lambda = lambda.max(s_now);
-            for i in self.scratch_off[c]..self.scratch_off[c + 1] {
-                let fi = self.scratch_items[i as usize] as usize;
-                // detlint::allow(S001, ids were swept from the slab above)
-                let f = self.flows.get_mut(self.scratch_ids[fi]).expect("live flow");
-                if f.frozen {
+            for &d in &index.items[index.off[c] as usize..index.off[c + 1] as usize] {
+                if get_bit(frozen, d) {
                     continue;
                 }
-                f.frozen = true;
-                f.interval = ByteInterval::from_rate(lambda);
+                set_bit(frozen, d);
+                rate[d as usize] = lambda;
                 active -= 1;
-                for &c2 in &f.route {
+                let (off, len) = index.spans[d as usize];
+                for &c2 in &routes[off as usize..(off + len) as usize] {
                     let c2 = c2 as usize;
-                    self.alloc[c2] += lambda;
-                    self.load[c2] -= 1;
+                    alloc[c2] += lambda;
+                    load[c2] -= 1;
                 }
             }
+        }
+        for (_, f) in flows.iter_mut() {
+            f.interval = ByteInterval::from_rate(rate[f.dense as usize]);
         }
     }
 
@@ -408,7 +501,9 @@ impl FlowNet {
         let mut done = Vec::new();
         let FlowNet {
             flows,
+            routes,
             occupancy,
+            index,
             total_delivered,
             ..
         } = self;
@@ -418,9 +513,10 @@ impl FlowNet {
                 let offset = f.interval.time_for(f.remaining);
                 *total_delivered += f.remaining;
                 done.push(FlowCompletion { id, offset });
-                for &c in &f.route {
+                for &c in &routes[f.span()] {
                     occupancy[c as usize] -= 1;
                 }
+                index.bury(f.dense);
                 false
             } else {
                 *total_delivered += served;
@@ -504,6 +600,14 @@ impl FlowNet {
     }
 }
 
+fn get_bit(bits: &[u64], i: u32) -> bool {
+    bits[(i / 64) as usize] >> (i % 64) & 1 == 1
+}
+
+fn set_bit(bits: &mut [u64], i: u32) {
+    bits[(i / 64) as usize] |= 1 << (i % 64);
+}
+
 /// Solver heap entry: channel `c` saturates when the lockstep rate level
 /// reaches `s`. The ordering is deliberately reversed — `BinaryHeap` is a
 /// max-heap and the solver pops the *lowest* saturation level first, with
@@ -547,6 +651,7 @@ fn directed_chan(topo: &Topology, lid: itb_topo::LinkId, from: Node) -> Chan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use itb_sim::SimRng;
     use itb_topo::builders;
 
     const LINK: f64 = 0.16; // 160 MB/s in bytes/ns
@@ -557,20 +662,96 @@ mod tests {
         (topo, net)
     }
 
+    /// Live flow `id`'s route, read from the arena.
+    fn route(net: &FlowNet, id: u64) -> &[Chan] {
+        &net.routes[net.get(id).unwrap().span()]
+    }
+
+    /// The from-scratch max-min solve over a plain `(id, route)` list in
+    /// id order: per-channel load count, a fresh CSR, the same lazy heap
+    /// and freeze order. Returns each flow's rate and the per-channel
+    /// allocation — the contract a reused index must meet bit for bit.
+    fn reference_solve(cap: &[f64], flows: &[(u64, Vec<Chan>)]) -> (Vec<f64>, Vec<f64>) {
+        let nch = cap.len();
+        let mut alloc = vec![0.0; nch];
+        let mut load = vec![0u32; nch];
+        for (_, r) in flows {
+            for &c in r {
+                load[c as usize] += 1;
+            }
+        }
+        let mut off = vec![0usize; nch + 1];
+        for c in 0..nch {
+            off[c + 1] = off[c] + load[c] as usize;
+        }
+        let mut cursor = off[..nch].to_vec();
+        let mut items = vec![0usize; off[nch]];
+        for (fi, (_, r)) in flows.iter().enumerate() {
+            for &c in r {
+                items[cursor[c as usize]] = fi;
+                cursor[c as usize] += 1;
+            }
+        }
+        let mut heap = std::collections::BinaryHeap::new();
+        for c in 0..nch {
+            if load[c] > 0 {
+                heap.push(ChanSat {
+                    s: cap[c] / f64::from(load[c]),
+                    c: narrow(c),
+                });
+            }
+        }
+        let mut rate = vec![f64::NAN; flows.len()];
+        let mut frozen = vec![false; flows.len()];
+        let mut lambda = 0.0f64;
+        let mut active = flows.len();
+        while active > 0 {
+            let Some(top) = heap.pop() else { break };
+            let c = top.c as usize;
+            if load[c] == 0 {
+                continue;
+            }
+            let s_now = (cap[c] - alloc[c]).max(0.0) / f64::from(load[c]);
+            if s_now.total_cmp(&top.s).is_gt() {
+                heap.push(ChanSat { s: s_now, c: top.c });
+                continue;
+            }
+            lambda = lambda.max(s_now);
+            for &fi in &items[off[c]..off[c + 1]] {
+                if frozen[fi] {
+                    continue;
+                }
+                frozen[fi] = true;
+                rate[fi] = lambda;
+                active -= 1;
+                for &c2 in &flows[fi].1 {
+                    alloc[c2 as usize] += lambda;
+                    load[c2 as usize] -= 1;
+                }
+            }
+        }
+        (rate, alloc)
+    }
+
     #[test]
     fn routes_are_shortest_and_deterministic() {
-        let (topo, net) = chain_net();
+        let (topo, mut net) = chain_net();
         let hosts: Vec<HostId> = topo.host_ids().collect();
         let a = hosts[0]; // switch 0
         let b = *hosts.last().unwrap(); // switch 3
-                                        // 2 host links + 3 inter-switch hops.
-        let r1 = net.route_of(a, b);
+        net.open(1, a, b, 1);
+        net.open(2, a, b, 1);
+        net.open(3, hosts[0], hosts[1], 1);
+        // 2 host links + 3 inter-switch hops, uplink first.
+        let r1 = route(&net, 1).to_vec();
         assert_eq!(r1.len(), 5);
-        assert_eq!(net.route_of(a, b), r1);
+        assert_eq!(r1[0], net.host_up[a.idx()]);
+        assert_eq!(r1[4], net.host_down[b.idx()]);
+        assert_eq!(route(&net, 2), r1.as_slice());
         let sw = net.switches_of(a, b);
         assert_eq!(sw, vec![SwitchId(0), SwitchId(1), SwitchId(2), SwitchId(3)]);
         // Same-switch flows cross only the two host links.
-        assert_eq!(net.route_of(hosts[0], hosts[1]).len(), 2);
+        assert_eq!(route(&net, 3).len(), 2);
     }
 
     #[test]
@@ -698,5 +879,82 @@ mod tests {
                 .collect::<Vec<u64>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// Seeded open/close/solve/advance sequences: every solve — after
+    /// arrivals (fresh index), departure-only rounds (reused index with
+    /// tombstones) and a mass close past the tombstone-rebuild threshold —
+    /// must give every flow the reference solver's rate and every
+    /// channel the reference allocation, bit for bit. The reference runs
+    /// over routes recorded at open time, so arena compaction is checked
+    /// too.
+    #[test]
+    fn reused_index_solves_bit_identically_to_the_reference() {
+        let topo = builders::irregular_big(16, 3);
+        let hosts: Vec<HostId> = topo.host_ids().collect();
+        let (mut fresh, mut reused, mut shrunk) = (0, 0, 0);
+        for seed in 1..=4u64 {
+            let mut rng = SimRng::new(seed);
+            let mut net = FlowNet::new(&topo, LINK);
+            let mut live: std::collections::BTreeMap<u64, Vec<Chan>> = Default::default();
+            let mut next_id = 0u64;
+            for round in 0..60 {
+                // Arrivals in about half the rounds; none at all late on,
+                // so the tail is departure-only.
+                if round < 45 && rng.below(2) == 0 {
+                    for _ in 0..rng.below(40) {
+                        let s = hosts[rng.below(hosts.len() as u64) as usize];
+                        let d = hosts[rng.below(hosts.len() as u64) as usize];
+                        if s != d {
+                            net.open(next_id, s, d, 200 + rng.below(20_000));
+                            live.insert(next_id, route(&net, next_id).to_vec());
+                        }
+                        next_id += 1;
+                    }
+                }
+                // Early closes (escalation hand-back), and once per run a
+                // mass close that leaves tombstones outnumbering the live.
+                let ids: Vec<u64> = live.keys().copied().collect();
+                for id in ids {
+                    if (round == 30 && rng.below(4) != 0) || rng.below(20) == 0 {
+                        net.close(id).unwrap();
+                        live.remove(&id);
+                    }
+                }
+                if net.index.stale {
+                    fresh += 1;
+                } else if net.index.buried > net.len() {
+                    shrunk += 1;
+                } else if net.index.buried > 0 {
+                    reused += 1;
+                }
+
+                net.solve();
+                let flows: Vec<(u64, Vec<Chan>)> = live.clone().into_iter().collect();
+                let (rate, alloc) = reference_solve(net.channel_capacity(), &flows);
+                assert!(net.ids().eq(live.keys().copied()));
+                for ((id, r), rate) in flows.iter().zip(&rate) {
+                    assert_eq!(route(&net, *id), r.as_slice());
+                    assert_eq!(
+                        net.get(*id).unwrap().interval.ps_per_byte(),
+                        ByteInterval::from_rate(*rate).ps_per_byte(),
+                        "seed {seed} round {round} flow {id}"
+                    );
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                assert_eq!(
+                    bits(net.channel_allocation()),
+                    bits(&alloc),
+                    "seed {seed} round {round}"
+                );
+                for done in net.advance(SimDuration::from_us(20)) {
+                    live.remove(&done.id);
+                }
+            }
+        }
+        assert!(
+            fresh > 0 && reused > 0 && shrunk > 0,
+            "{fresh} {reused} {shrunk}"
+        );
     }
 }

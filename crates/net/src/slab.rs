@@ -164,16 +164,8 @@ impl<T> IdSlab<T> {
     /// Live `(id, entry)` pairs in id order — one linear window scan, no
     /// per-id bounds check. This is the bulk-sweep primitive the flow
     /// solver leans on: at 100k live entries, `ids().collect()` followed
-    /// by per-id `get` costs a second deque probe per entry this avoids.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
-        let base = self.base;
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, s)| s.as_ref().map(|v| (base + i as u64, v)))
-    }
-
-    /// Mutable variant of [`iter`](IdSlab::iter), id order.
+    /// by per-id `get_mut` costs a second deque probe per entry this
+    /// avoids.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
         let base = self.base;
         self.slots
@@ -272,7 +264,7 @@ mod tests {
         }
         s.remove(5);
         assert_eq!(
-            s.iter().map(|(id, &v)| (id, v)).collect::<Vec<_>>(),
+            s.iter_mut().map(|(id, v)| (id, *v)).collect::<Vec<_>>(),
             vec![(0, 0), (2, 20), (9, 90)]
         );
         for (_, v) in s.iter_mut() {
