@@ -20,11 +20,9 @@
 #![deny(unsafe_code)]
 
 use itb_core::ClusterSpec;
-use itb_gm::{AppBehavior, Cluster, ClusterEvent, FlowWorld, FlowWorldSpec, ParRunReport};
+use itb_gm::{AppBehavior, Cluster, ClusterEvent, FlowWorld, FlowWorldSpec};
 use itb_nic::McpFlavor;
-use itb_obs::export::{write_par_windows_chrome_trace, ParTraceMeta};
 use itb_routing::{figures, RoutingPolicy};
-use itb_sim::par::{ParProfile, WindowRecord};
 use itb_sim::{run_until, run_while, EventQueue, SimDuration, SimTime};
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -178,45 +176,16 @@ fn perm_stream_16sw(count: u32) -> ScenarioReport {
     })
 }
 
-/// Worker threads requested via `ITB_THREADS` (same parsing discipline as
-/// the vendored rayon shim: trimmed integer, minimum 1, default 1).
-fn itb_threads() -> u32 {
-    std::env::var("ITB_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<u32>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Per-run record of a sharded execution, written to
-/// `results/perf_gauntlet_par.json`. Wall-clock numbers here are honest
-/// measurements on whatever machine ran the gauntlet —
-/// `available_parallelism` in the surrounding report says how many cores
-/// that machine actually had.
-#[derive(Debug, Clone, Serialize)]
-struct ParScenario {
-    name: String,
-    threads: u32,
-    shards: u32,
-    edge_cut: usize,
-    lookahead_ns: f64,
-    windows: u64,
-    per_shard_events: Vec<u64>,
-    events: u64,
-    /// Cross-shard rank ties over all shard queues; 0 proves the run
-    /// followed the sequential event order exactly (see `itb_sim::par`).
-    cross_shard_ties: u64,
-    wall_s: f64,
-    events_per_sec: f64,
-    /// Wall-clock speedup against the run of this same scenario in this
-    /// same gauntlet invocation whose `threads == 1`; `null` when the
-    /// invocation included no 1-thread run (e.g. `--smoke` with
-    /// `ITB_THREADS > 1`), because there is then no honest baseline.
-    speedup_vs_t1: Option<f64>,
-}
-
-/// The Poisson-load spec shared by the large-fabric scenarios.
-fn load_spec(switches: usize) -> (ClusterSpec, Vec<AppBehavior>) {
+/// A Poisson-loaded irregular fabric of `switches` switches (4 hosts each)
+/// run for a fixed simulated window. The 32-switch run is the workload
+/// class the BENCH trajectory gates on; the 64-switch run doubles the host
+/// count.
+///
+/// `sample` turns on timeline + health sampling and writes their
+/// artifacts: the committed BENCH trajectory prices observability in, so a
+/// regression in the sampling path shows up as a throughput regression
+/// here. Smoke runs keep sampling off.
+fn large_load(name: &str, switches: usize, window_us: u64, sample: bool) -> ScenarioReport {
     let spec = ClusterSpec::irregular(switches, 1).with_routing(RoutingPolicy::Itb);
     let n = spec.num_hosts();
     let behaviors = vec![
@@ -227,124 +196,7 @@ fn load_spec(switches: usize) -> (ClusterSpec, Vec<AppBehavior>) {
         };
         n
     ];
-    (spec, behaviors)
-}
-
-/// Run a load scenario on `threads` shards and adapt the aggregate report
-/// into the gauntlet's scenario/par records. The digest subset (events,
-/// sim time, deliveries, injections) is identical to the sequential run of
-/// the same spec — that is the determinism contract CI byte-compares.
-fn measure_par(
-    name: &str,
-    spec: &ClusterSpec,
-    behaviors: &[AppBehavior],
-    threads: u32,
-    horizon: SimTime,
-    profile: bool,
-) -> (
-    ScenarioReport,
-    ParRunReport,
-    ParScenario,
-    Option<ParProfile>,
-) {
-    // Partitioning and replica construction stay outside the timed
-    // section, mirroring the sequential scenarios (which build and start
-    // their cluster before `measure`).
-    let part = itb_topo::partition(spec.topology(), threads as usize, spec.seed);
-    let replicas: Vec<Cluster> = (0..part.shards)
-        .map(|_| spec.build(behaviors.to_vec()))
-        .collect();
-    let a0 = ALLOCS.load(Ordering::Relaxed);
-    let b0 = ALLOC_BYTES.load(Ordering::Relaxed);
-    // detlint::allow(D002, wall-clock section: Mev/s and allocs/packet are host-side metrics)
-    let t0 = Instant::now();
-    let (report, prof) = if profile {
-        // The profiled engine carries the per-window stopwatch; its record
-        // memory and clock reads land inside the timed section on purpose —
-        // the sidecar says what profiling itself costs.
-        let (_worlds, report, prof) = itb_gm::run_cluster_shards_profiled(replicas, &part, horizon);
-        (report, Some(prof))
-    } else {
-        let (_worlds, report) = itb_gm::run_cluster_shards(replicas, &part, horizon);
-        (report, None)
-    };
-    let wall_s = t0.elapsed().as_secs_f64();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - a0;
-    let alloc_bytes = ALLOC_BYTES.load(Ordering::Relaxed) - b0;
-    let events_per_sec = report.events as f64 / wall_s.max(1e-9);
-    let scenario = ScenarioReport {
-        name: name.to_string(),
-        events: report.events,
-        sim_us: report.sim_time.as_us_f64(),
-        delivered: report.delivered,
-        injected: report.injected,
-        wall_s,
-        events_per_sec,
-        allocs,
-        alloc_bytes,
-        allocs_per_packet: allocs as f64 / report.injected.max(1) as f64,
-    };
-    let par = ParScenario {
-        name: name.to_string(),
-        threads: report.threads,
-        shards: report.per_shard_events.len() as u32,
-        edge_cut: report.edge_cut,
-        lookahead_ns: report.lookahead.as_ps() as f64 / 1000.0,
-        windows: report.windows,
-        per_shard_events: report.per_shard_events.clone(),
-        events: report.events,
-        cross_shard_ties: report.cross_shard_ties,
-        wall_s,
-        events_per_sec,
-        speedup_vs_t1: None,
-    };
-    (scenario, report, par, prof)
-}
-
-/// Fill in `speedup_vs_t1` across one scenario's runs: the baseline is the
-/// run that actually used one thread, wherever it sits in the sweep. With
-/// no 1-thread run in the batch the field stays `null` — never a speedup
-/// of a run against itself.
-fn fill_speedups(runs: &mut [ParScenario]) {
-    let Some(base) = runs.iter().find(|r| r.threads == 1).map(|r| r.wall_s) else {
-        return;
-    };
-    for r in runs.iter_mut() {
-        r.speedup_vs_t1 = Some(base / r.wall_s.max(1e-9));
-    }
-}
-
-/// The large-topology scenario the BENCH_perf trajectory gates on: a
-/// 32-switch irregular fabric (128 hosts) under Poisson load for a fixed
-/// simulated window. This is the workload class the ROADMAP's bigger
-/// multistage studies need to be cheap. With `ITB_THREADS>1` the run goes
-/// through the sharded engine — same digest, by construction.
-///
-/// `sample` turns on timeline + health sampling (full mode, sequential
-/// runs only): the committed BENCH trajectory prices observability in, so
-/// a regression in the sampling path shows up as a throughput regression
-/// here. Smoke runs keep sampling off — the CI 1-vs-4-thread digest
-/// byte-compare needs identical event counts, and the sharded engine
-/// cannot sample (see `Cluster::set_shard`).
-fn large_load_32sw(
-    window_us: u64,
-    threads: u32,
-    sample: bool,
-) -> (ScenarioReport, Option<ParScenario>) {
     let horizon = SimTime::ZERO + SimDuration::from_us(window_us);
-    if threads > 1 {
-        let (spec, behaviors) = load_spec(32);
-        let (scenario, _, par, _) = measure_par(
-            "large_load_32sw",
-            &spec,
-            &behaviors,
-            threads,
-            horizon,
-            false,
-        );
-        return (scenario, Some(par));
-    }
-    let (spec, behaviors) = load_spec(32);
     let mut cluster = spec.build(behaviors);
     if sample {
         cluster.enable_timeline(SimDuration::from_us(50));
@@ -352,96 +204,23 @@ fn large_load_32sw(
     }
     let mut q = EventQueue::new();
     cluster.start(&mut q);
-    let report = measure("large_load_32sw", &mut cluster, &mut q, move |c, q| {
+    let report = measure(name, &mut cluster, &mut q, move |c, q| {
         run_until(c, q, horizon);
     });
     if sample {
         // Prove the observers actually ran, then write their artifacts.
         let t = cluster.take_timeline().expect("timeline was enabled");
         assert!(!t.is_empty(), "a sampled load run must record intervals");
-        itb_bench::dump_stream("large_load_32sw_timeline.jsonl", |w| t.write_jsonl(w));
+        itb_bench::dump_stream(&format!("{name}_timeline.jsonl"), |w| t.write_jsonl(w));
         let h = cluster.health_report(q.now()).expect("health was enabled");
         assert!(
             h.healthy,
-            "loaded 32sw run must stay healthy: {:?}",
+            "loaded {name} run must stay healthy: {:?}",
             h.violations
         );
-        itb_bench::dump_stream("large_load_32sw_health.json", |w| h.write_json(w));
+        itb_bench::dump_stream(&format!("{name}_health.json"), |w| h.write_json(w));
     }
-    (report, None)
-}
-
-/// A profiled parallel run, kept for the window-utilization sidecars: the
-/// per-window records plus the aggregate numbers the gantt metadata needs.
-struct ProfiledRun {
-    threads: u32,
-    profile: ParProfile,
-    cross_shard_ties: u64,
-    per_shard_events: Vec<u64>,
-}
-
-/// The linear-scaling study: the 64-switch irregular preset (256 hosts)
-/// under the same Poisson load, run across a thread sweep. The 1-thread
-/// run provides the digest scenario; every run lands in the par report
-/// with its wall-clock speedup over the 1-thread run. The run whose thread
-/// count matches `profile_threads` goes through the profiled engine and
-/// comes back with its per-(shard, window) records.
-fn large_load_64sw_par(
-    window_us: u64,
-    sweep: &[u32],
-    profile_threads: u32,
-) -> (ScenarioReport, Vec<ParScenario>, Option<ProfiledRun>) {
-    let (spec, behaviors) = load_spec(64);
-    let horizon = SimTime::ZERO + SimDuration::from_us(window_us);
-    let mut runs: Vec<ParScenario> = Vec::new();
-    let mut digest_scenario: Option<ScenarioReport> = None;
-    let mut profiled: Option<ProfiledRun> = None;
-    for &t in sweep {
-        let profile = t == profile_threads && profiled.is_none();
-        let (scenario, report, par, prof) = measure_par(
-            "large_load_64sw_par",
-            &spec,
-            &behaviors,
-            t,
-            horizon,
-            profile,
-        );
-        match &digest_scenario {
-            Some(d0) => {
-                assert_eq!(
-                    (scenario.events, scenario.delivered, scenario.injected),
-                    (d0.events, d0.delivered, d0.injected),
-                    "thread sweep diverged at t={t}"
-                );
-            }
-            None => digest_scenario = Some(scenario),
-        }
-        eprintln!(
-            "  64sw t={t}: shards={} cut={} windows={} ties={} wall={:.3}s{}",
-            par.shards,
-            par.edge_cut,
-            par.windows,
-            par.cross_shard_ties,
-            par.wall_s,
-            if profile { " [profiled]" } else { "" }
-        );
-        if let Some(profile) = prof {
-            profiled = Some(ProfiledRun {
-                threads: t,
-                profile,
-                cross_shard_ties: report.cross_shard_ties,
-                per_shard_events: report.per_shard_events.clone(),
-            });
-        }
-        runs.push(par);
-    }
-    fill_speedups(&mut runs);
-    for r in &runs {
-        if let Some(s) = r.speedup_vs_t1 {
-            eprintln!("  64sw t={}: speedup={s:.2}x vs t=1", r.threads);
-        }
-    }
-    (digest_scenario.expect("sweep is non-empty"), runs, profiled)
+    report
 }
 
 /// The planet-scale scenario: the 1024-switch irregular fabric (4096
@@ -461,8 +240,7 @@ fn large_load_64sw_par(
 /// Full mode runs 4096 hosts x 30 flows (122 880 flows, >100k live at the
 /// peak — asserted, it is the scenario's reason to exist). Smoke mode
 /// shrinks the fabric but keeps the exact same code path for the CI digest
-/// byte-compare; the flow engine is sequential either way, so the 1-vs-4
-/// thread compare holds trivially.
+/// byte-compare.
 fn large_load_1024sw(smoke: bool) -> ScenarioReport {
     let (topo, spec) = if smoke {
         (
@@ -538,17 +316,6 @@ struct GauntletReport {
     scenarios: Vec<ScenarioReport>,
 }
 
-/// The sharded-engine sidecar report: every parallel run of this gauntlet
-/// invocation, plus the host parallelism context that makes the wall-clock
-/// columns interpretable.
-#[derive(Debug, Serialize)]
-struct ParGauntletReport {
-    mode: &'static str,
-    itb_threads: u32,
-    available_parallelism: usize,
-    runs: Vec<ParScenario>,
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -558,41 +325,27 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| "current".to_string());
-    let threads = itb_threads();
 
     // Smoke mode: tiny deterministic runs for the CI byte-compare. Full
-    // mode: long enough that events/sec is a stable engine metric.
-    let (pp_iters, stream_count, window_us) = if smoke { (2, 4, 300) } else { (40, 60, 4000) };
-    // The 64-switch fabric carries twice the host count; a shorter window
-    // keeps the full thread sweep affordable. Smoke runs only the
-    // env-selected thread count so the CI compare exercises both engines.
-    let (par_window_us, sweep) = if smoke {
-        (300, vec![threads])
+    // mode: long enough that events/sec is a stable engine metric. The
+    // 64-switch fabric carries twice the host count and runs a shorter
+    // window.
+    let (pp_iters, stream_count, window_us, window_64_us) = if smoke {
+        (2, 4, 300, 300)
     } else {
-        (1500, vec![1, 2, 4, 8])
+        (40, 60, 4000, 1500)
     };
 
     eprintln!(
-        "running perf gauntlet ({}, ITB_THREADS={threads})...",
+        "running perf gauntlet ({})...",
         if smoke { "smoke" } else { "full" }
     );
-    let (ll32, mut par_runs_opt) = large_load_32sw(window_us, threads, !smoke);
-    // Profile the sweep run matching ITB_THREADS; when the env choice is
-    // not in the sweep (full mode with an off-sweep ITB_THREADS), profile
-    // the widest run so the sidecar always exists.
-    let profile_threads = if sweep.contains(&threads) {
-        threads
-    } else {
-        *sweep.last().expect("sweep is non-empty")
-    };
-    let (ll64, sweep_runs, profiled) = large_load_64sw_par(par_window_us, &sweep, profile_threads);
-    let mut par_runs: Vec<ParScenario> = par_runs_opt.take().into_iter().collect();
-    par_runs.extend(sweep_runs);
     let scenarios = vec![
         fig6_pingpong(pp_iters),
         perm_stream_16sw(stream_count),
-        ll32,
-        ll64,
+        large_load("large_load_32sw", 32, window_us, !smoke),
+        // Historical `_par` name: the digest and BENCH_perf.json key on it.
+        large_load("large_load_64sw_par", 64, window_64_us, false),
         large_load_1024sw(smoke),
     ];
 
@@ -621,92 +374,12 @@ fn main() {
     itb_bench::dump_json("perf_gauntlet", &report);
     let digest: Vec<ScenarioDigest> = scenarios.iter().map(|s| s.digest()).collect();
     itb_bench::dump_json("perf_gauntlet_digest", &digest);
-    let par_report = ParGauntletReport {
-        mode: if smoke { "smoke" } else { "full" },
-        itb_threads: threads,
-        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        runs: par_runs,
-    };
-    itb_bench::dump_json("perf_gauntlet_par", &par_report);
-    if let Some(p) = profiled {
-        dump_profile(if smoke { "smoke" } else { "full" }, p);
-    }
 
     // The committed trajectory: full runs append/update their labelled
     // entry so each PR's speedup is measured against the recorded baseline.
     if !smoke {
         update_bench_perf(&label, &scenarios);
     }
-}
-
-/// Detailed-record cap for the profiler sidecar: full-mode sweeps execute
-/// tens of thousands of windows and the point of the sidecar is barrier /
-/// utilization *shape*, not an unbounded dump. Truncation is never silent —
-/// the artifact records both counts and the run log says what was dropped.
-const PROFILE_RECORD_CAP: usize = 2000;
-
-/// The PDES profiler sidecar written to `results/perf_gauntlet_profile.json`.
-/// The barrier wall-ns fields are honest host-clock measurements and vary
-/// run to run, so this artifact (and the window gantt next to it) is never
-/// part of the CI byte-compares — those gate on the digest and par reports.
-#[derive(Debug, Serialize)]
-struct ProfileArtifact {
-    mode: &'static str,
-    scenario: &'static str,
-    threads: u32,
-    shards: usize,
-    records_total: usize,
-    records_written: usize,
-    truncated: bool,
-    records: Vec<WindowRecord>,
-}
-
-/// Write the profiler sidecars for the one profiled run: the JSON record
-/// dump and the Chrome `trace_event` window gantt (one lane per shard; load
-/// it in Perfetto / `chrome://tracing` to see window utilization).
-fn dump_profile(mode: &'static str, p: ProfiledRun) {
-    let ProfiledRun {
-        threads,
-        mut profile,
-        cross_shard_ties,
-        per_shard_events,
-    } = p;
-    let records_total = profile.records.len();
-    let truncated = records_total > PROFILE_RECORD_CAP;
-    if truncated {
-        // Keep a *time prefix*, not a record prefix: records sort by
-        // (shard, window), so a plain truncate would keep only shard 0 and
-        // the gantt would lose every other lane. Capping the window ordinal
-        // keeps the same leading stretch of the run on all shards.
-        let windows_keep = (PROFILE_RECORD_CAP / per_shard_events.len().max(1)) as u64;
-        profile.records.retain(|r| r.window < windows_keep);
-        eprintln!(
-            "  profiler: keeping the first {windows_keep} windows on every shard — {} of \
-             {records_total} records ({} dropped from the sidecar and gantt)",
-            profile.records.len(),
-            records_total - profile.records.len()
-        );
-    }
-    let meta = ParTraceMeta {
-        cross_shard_ties,
-        per_shard_events: per_shard_events.clone(),
-        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
-        threads,
-    };
-    itb_bench::dump_stream("perf_gauntlet_windows_trace.json", |w| {
-        write_par_windows_chrome_trace(&profile.records, &meta, w)
-    });
-    let artifact = ProfileArtifact {
-        mode,
-        scenario: "large_load_64sw_par",
-        threads,
-        shards: per_shard_events.len(),
-        records_total,
-        records_written: profile.records.len(),
-        truncated,
-        records: profile.records,
-    };
-    itb_bench::dump_json("perf_gauntlet_profile", &artifact);
 }
 
 /// One trajectory entry of `BENCH_perf.json`, serialized on a single line

@@ -281,16 +281,15 @@ impl CheckState {
 
     /// Canonical digest of the whole world: every behavioral cluster field
     /// (see [`Cluster::state_digest`]) plus the event queue — current time,
-    /// length, and each pending event's absolute `(time, rank_time)` and
-    /// content in pop order. Worlds with equal digests evolve identically.
+    /// length, and each pending event's absolute time and content in pop
+    /// order. Worlds with equal digests evolve identically.
     pub fn digest(&self) -> u64 {
         let mut d = Digest::new();
         self.cluster.state_digest(&mut d);
         d.u64(self.queue.now().as_ps());
         d.usize(self.queue.len());
-        for (t, rt, ev) in self.queue.iter_ordered() {
+        for (t, ev) in self.queue.iter_ordered() {
             d.u64(t.as_ps());
-            d.u64(rt.as_ps());
             ev.digest_into(&mut d);
         }
         d.finish()

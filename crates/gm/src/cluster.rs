@@ -10,7 +10,7 @@ use itb_nic::{McpFlavor, McpTiming, Nic, NicEvent, NicOutput, NicSched};
 use itb_routing::planner::ItbHostSelection;
 use itb_routing::{RouteTable, RoutingPolicy, SourceRoute};
 use itb_sim::{narrow, EventQueue, FxHashMap, SimDuration, SimRng, SimTime, World};
-use itb_topo::{HostId, Partition, RegionFidelity, RegionPlan, Topology, UpDown};
+use itb_topo::{HostId, RegionFidelity, RegionPlan, Topology, UpDown};
 use std::sync::Arc;
 
 /// Wire bytes GM adds to every packet for its own protocol header.
@@ -227,36 +227,6 @@ impl Sink<'_> {
     }
 }
 
-/// Cross-shard delivery bookkeeping: a message completed on the receiver's
-/// shard, but its [`MsgRecord`] lives on the *sender's* shard (message ids
-/// are allocated per shard, so the numeric id only means something there).
-#[derive(Debug, Clone, Copy)]
-pub struct DeliveryNotice {
-    /// Application delivery time on the receiver's shard.
-    pub at: SimTime,
-    /// The sender-shard message id.
-    pub msg_id: u32,
-    /// Original sender (owner of the record).
-    pub from: HostId,
-    /// Capture sequence on the notifying shard (merge tie-break), allocated
-    /// from the shard's single envelope counter — shared with net handoffs
-    /// so merge keys are globally unique.
-    pub seq: u64,
-}
-
-/// Sharded-run identity of a cluster replica (None = sequential).
-///
-/// Notice capture sequences come from the network's single per-shard
-/// envelope counter ([`Network::alloc_handoff_seq`]) so notice and net
-/// handoff merge keys never collide.
-struct GmShardInfo {
-    me: u32,
-    /// Owner shard per host (copied from the partition).
-    host_shard: Vec<u32>,
-    /// Per-destination-shard delivery notices captured this window.
-    notices: Vec<Vec<DeliveryNotice>>,
-}
-
 /// One application-level message's life record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MsgRecord {
@@ -347,9 +317,6 @@ pub struct Cluster {
     packets_abandoned: u64,
     // detlint::allow(T003, diagnostics counter: never read by a transition)
     crashes_injected: u64,
-    /// Sharded-run identity (None = sequential; see [`Cluster::set_shard`]).
-    // detlint::allow(T003, partition identity: fixed at shard setup; the PDES contract proves shard layout cannot change sim facts)
-    shard: Option<GmShardInfo>,
     /// Sim-time timeline sampler (None until [`Cluster::enable_timeline`]).
     // detlint::allow(T003, observability sidecar: samples digested state and is never read back)
     timeline: Option<itb_obs::TimelineSampler>,
@@ -450,7 +417,6 @@ impl Cluster {
             drops_observed: 0,
             packets_abandoned: 0,
             crashes_injected: 0,
-            shard: None,
             timeline: None,
             health: None,
             sample_every: None,
@@ -458,65 +424,6 @@ impl Cluster {
             sample_frame: None,
             table,
             flow_mode: None,
-        }
-    }
-
-    /// Turn this replica into shard `me` of a parallel run: the network
-    /// enters sharded mode (strided packet ids, cross-shard handoff capture)
-    /// and [`Cluster::start`] will kick off only the hosts this shard owns.
-    /// Every shard must be an *identical* replica built from the same
-    /// parameters — non-owned hosts keep their per-host RNG streams
-    /// untouched, so owned streams draw exactly the sequential sequence.
-    ///
-    /// # Panics
-    /// Panics if the plan schedules NIC crashes (fault injection and
-    /// parallel mode are mutually exclusive) or on any precondition
-    /// violated by [`Network::set_shard_ctx`].
-    pub fn set_shard(&mut self, me: u32, part: &Partition) {
-        assert!(
-            self.crashes.is_empty(),
-            "parallel mode requires a crash-free fault plan"
-        );
-        assert!(
-            self.sample_every.is_none(),
-            "timeline/health sampling sees one shard's partial counters and \
-             would mistake remote progress for a stall; sample sequentially"
-        );
-        assert!(
-            self.flow_mode.is_none(),
-            "the hybrid flow engine is a sequential-mode feature: its global \
-             rate solve cannot be sharded"
-        );
-        self.net.set_shard_ctx(me, part);
-        self.shard = Some(GmShardInfo {
-            me,
-            host_shard: part.shard_of_host.clone(),
-            notices: (0..part.shards).map(|_| Vec::new()).collect(),
-        });
-    }
-
-    /// Whether this replica owns `host` (always true sequentially).
-    fn owns_host(&self, h: usize) -> bool {
-        self.shard.as_ref().is_none_or(|s| s.host_shard[h] == s.me)
-    }
-
-    /// Drain the delivery notices captured for shard `dst` this window.
-    pub fn take_delivery_notices(&mut self, dst: u32) -> Vec<DeliveryNotice> {
-        match self.shard.as_mut() {
-            Some(s) => std::mem::take(&mut s.notices[dst as usize]),
-            None => Vec::new(),
-        }
-    }
-
-    /// Apply a delivery notice from the receiver's shard to the message
-    /// record this (sender's) shard keeps.
-    pub fn apply_delivery_notice(&mut self, n: DeliveryNotice) {
-        if let Some(rec) = self.messages.get_mut(&n.msg_id) {
-            debug_assert_eq!(rec.src, n.from, "notice names the record's sender");
-            if rec.delivered_at.is_none() {
-                self.delivered_messages += 1;
-            }
-            rec.delivered_at = Some(n.at);
         }
     }
 
@@ -532,19 +439,14 @@ impl Cluster {
     /// event, so the run is byte-identical to a plain sequential run — the
     /// fidelity anchor the hybrid tests pin.
     ///
-    /// Call before [`Cluster::start`]. Incompatible with sharded parallel
-    /// runs ([`Cluster::set_shard`]) and with NIC-crash fault plans: flow
-    /// regions model a loss-free fabric.
+    /// Call before [`Cluster::start`]. Incompatible with NIC-crash fault
+    /// plans: flow regions model a loss-free fabric.
     ///
     /// # Panics
-    /// Panics on a zero round, a sharded cluster, a crash-bearing fault
-    /// plan, or a plan partitioned over a different switch count.
+    /// Panics on a zero round, a crash-bearing fault plan, or a plan
+    /// partitioned over a different switch count.
     pub fn enable_flow_regions(&mut self, plan: RegionPlan, round: SimDuration) {
         assert!(round > SimDuration::ZERO, "flow round must be positive");
-        assert!(
-            self.shard.is_none(),
-            "the hybrid flow engine is a sequential-mode feature"
-        );
         assert!(
             self.crashes.is_empty(),
             "flow regions model a loss-free fabric; crash plans need the \
@@ -707,8 +609,7 @@ impl Cluster {
     /// Enable the sim-time timeline sampler: every `interval` of sim time a
     /// scheduled `Sample` event records one [`itb_obs::Snapshot`] delta.
     /// Call before [`Cluster::start`]; retrieve the series with
-    /// [`Cluster::take_timeline`]. Incompatible with sharded parallel runs
-    /// (see [`Cluster::set_shard`]).
+    /// [`Cluster::take_timeline`].
     ///
     /// # Panics
     /// Panics on a zero interval.
@@ -728,8 +629,7 @@ impl Cluster {
     /// conservation), sampled every `interval` of sim time; the watchdog
     /// fires when traffic is pending but neither a delivery nor a link byte
     /// advance happens for `stall_budget`. Call before [`Cluster::start`];
-    /// finalize with [`Cluster::health_report`]. Incompatible with sharded
-    /// parallel runs (see [`Cluster::set_shard`]).
+    /// finalize with [`Cluster::health_report`].
     ///
     /// # Panics
     /// Panics on a zero interval or zero budget.
@@ -889,11 +789,6 @@ impl Cluster {
             );
         }
         for h in 0..self.behaviors.len() {
-            // Sharded runs kick off owned hosts only; the replicas of other
-            // shards never touch this host's state or RNG stream.
-            if !self.owns_host(h) {
-                continue;
-            }
             let host = HostId(narrow(h));
             match &self.behaviors[h] {
                 AppBehavior::Sink | AppBehavior::Echo => {}
@@ -1641,36 +1536,13 @@ impl Cluster {
         now: SimTime,
         q: &mut EventQueue<ClusterEvent>,
     ) {
-        // Message ids are allocated per shard, so the record keeper is the
-        // *sender's* shard: a numeric match in this replica's map would be a
-        // different message entirely. Route the bookkeeping home instead.
-        let record_is_local = match &mut self.shard {
-            None => true,
-            Some(s) => {
-                let owner = s.host_shard[from.idx()];
-                if owner == s.me {
-                    true
-                } else {
-                    let seq = self.net.alloc_handoff_seq();
-                    s.notices[owner as usize].push(DeliveryNotice {
-                        at: now,
-                        msg_id,
-                        from,
-                        seq,
-                    });
-                    false
-                }
+        if let Some(rec) = self.messages.get_mut(&msg_id) {
+            debug_assert_eq!(rec.dst, host, "message delivered to its destination");
+            debug_assert_eq!(rec.len, len, "reassembled length matches");
+            if rec.delivered_at.is_none() {
+                self.delivered_messages += 1;
             }
-        };
-        if record_is_local {
-            if let Some(rec) = self.messages.get_mut(&msg_id) {
-                debug_assert_eq!(rec.dst, host, "message delivered to its destination");
-                debug_assert_eq!(rec.len, len, "reassembled length matches");
-                if rec.delivered_at.is_none() {
-                    self.delivered_messages += 1;
-                }
-                rec.delivered_at = Some(now);
-            }
+            rec.delivered_at = Some(now);
         }
         self.app_deliveries += 1;
         self.delivery_log.push((from, host, msg_id));

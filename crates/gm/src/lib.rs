@@ -28,10 +28,8 @@ pub mod flowworld;
 pub mod host;
 pub mod mapper;
 pub mod meta;
-pub mod par;
 
 pub use apps::AppBehavior;
-pub use cluster::{Cluster, ClusterEvent, DeliveryNotice, MsgRecord, ESCALATE_CONTENTION};
+pub use cluster::{Cluster, ClusterEvent, MsgRecord, ESCALATE_CONTENTION};
 pub use config::GmConfig;
 pub use flowworld::{FlowWorld, FlowWorldEvent, FlowWorldSpec};
-pub use par::{run_cluster_shards, run_cluster_shards_profiled, ParRunReport, ShardCluster};

@@ -3,7 +3,7 @@
 //! Nodes are every parsed function in the workspace; edges are name-based
 //! call resolutions with receiver-type heuristics:
 //!
-//! * **Path calls** (`itb_sim::par::run_shards(..)`, `crate::helper(..)`,
+//! * **Path calls** (`itb_sim::engine::run_until(..)`, `crate::helper(..)`,
 //!   `Type::assoc(..)`) resolve through per-crate module resolution — the
 //!   extern name `itb_<dir>` maps back to `crates/<dir>`, `crate`/`self`/
 //!   `super` to the calling file's own crate and module, and a path whose
@@ -402,7 +402,7 @@ fn resolve_path(
             Some(k) => (k, &segs[1..]),
             None => {
                 // The head may itself be a use-imported module alias
-                // (`use itb_sim::par; par::run(..)`).
+                // (`use itb_sim::engine; engine::run_until(..)`).
                 for u in &file.uses {
                     if u.local == *head && !u.path.is_empty() {
                         let mut full: Vec<String> = u.path.clone();

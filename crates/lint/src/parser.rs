@@ -64,8 +64,8 @@ pub struct FieldItem {
 }
 
 /// One leaf of a `use` tree: the name it binds locally and the full path
-/// segments it came from (`use itb_sim::par::run_shards as rs` →
-/// local `rs`, path `["itb_sim", "par", "run_shards"]`).
+/// segments it came from (`use itb_sim::engine::run_until as ru` →
+/// local `ru`, path `["itb_sim", "engine", "run_until"]`).
 #[derive(Debug, Clone)]
 pub struct UseImport {
     pub local: String,

@@ -13,10 +13,10 @@
 //!   (`Instant`, `SystemTime`, `thread_rng`, `thread::spawn`/`scope`).
 //!   Simulated time comes from the event queue; host time in a sim-side
 //!   path destroys replayability, and unsynchronized threads make event
-//!   order depend on the OS scheduler. The sanctioned fork point is the
-//!   barrier-synchronized PDES driver in `itb_sim::par` (annotated);
-//!   benches are exempt. Bench-style wall-clock sections elsewhere opt
-//!   out with `// detlint::allow(D002, reason)`.
+//!   order depend on the OS scheduler. The simulator runs one sequential
+//!   engine, so no spawn site is sanctioned; benches are exempt.
+//!   Bench-style wall-clock sections elsewhere opt out with
+//!   `// detlint::allow(D002, reason)`.
 //! * **D003** — no `f32`/`f64` arithmetic on event-time values. Integer
 //!   picoseconds in, integer picoseconds out; float conversion is reserved
 //!   for reporting. Flagged: float expressions inside `SimTime::from_*` /
@@ -37,7 +37,8 @@
 //!
 //! D002 additionally flags `std::env::var`/`env!` in sim-side code:
 //! environment-dependent behaviour is cross-machine nondeterminism. Benches
-//! stay exempt (`ITB_THREADS` is how the perf harness sweeps shard counts).
+//! stay exempt (`ITB_THREADS` caps the vendored rayon workers that fan
+//! out independent runs).
 //!
 //! The flow/taint rules **T001**–**T003** live in [`crate::taint`] and run
 //! over the workspace call graph rather than single files; their ids are
@@ -413,9 +414,9 @@ fn check_d002(class: &FileClass, lexed: &Lexed, out: &mut Vec<Finding>) {
         }
         // `thread::spawn` / `thread::scope`: OS scheduling order leaking
         // into simulation state is the same hazard as wall-clock reads.
-        // The sanctioned spawn site is the barrier-synchronized PDES
-        // driver (`crates/sim/src/par.rs`, annotated); benches measure
-        // wall-clock throughput by design and are exempt.
+        // No spawn site is sanctioned: the simulator runs one sequential
+        // engine. Benches measure wall-clock throughput by design and are
+        // exempt.
         if t.text == "thread"
             && punct_is(toks, i + 1, ':')
             && punct_is(toks, i + 2, ':')
@@ -429,9 +430,10 @@ fn check_d002(class: &FileClass, lexed: &Lexed, out: &mut Vec<Finding>) {
                 line: t.line,
                 message: format!(
                     "`thread::{}` — unsynchronized threads make event order depend on \
-                     the OS scheduler; go through `itb_sim::par::run_shards` (the \
-                     deterministic fork point) or state why this spawn cannot \
-                     affect simulation state",
+                     the OS scheduler; the simulator runs one sequential engine and \
+                     no spawn site is sanctioned since the sharded `run_shards` \
+                     driver was retired: state why this spawn cannot affect \
+                     simulation state",
                     toks[i + 3].text
                 ),
                 allowed: false,
@@ -441,8 +443,8 @@ fn check_d002(class: &FileClass, lexed: &Lexed, out: &mut Vec<Finding>) {
         // Environment reads in sim-side code: `env::var`/`env::var_os` and
         // the `env!`/`option_env!` macros make behaviour depend on the host
         // environment — cross-machine nondeterminism. Benches are exempt
-        // (ITB_THREADS is the sanctioned perf-harness knob), as is the
-        // non-sim bench crate itself.
+        // (ITB_THREADS caps the vendored rayon workers), as is the non-sim
+        // bench crate itself.
         let env_exempt = class.kind == FileKind::Bench
             || class.krate == "bench"
             || !SIM_SIDE.contains(&class.krate.as_str());

@@ -37,5 +37,5 @@ pub mod stats;
 pub use config::{FallThrough, NetConfig};
 pub use fault::{FaultPlan, HostCrash, LinkDownWindow, LinkFault};
 pub use flow::{Flow, FlowCompletion, FlowNet};
-pub use network::{HostIndication, NetEvent, NetHandoff, NetSched, Network};
+pub use network::{HostIndication, NetEvent, NetSched, Network};
 pub use packet::{PacketDesc, PacketId};

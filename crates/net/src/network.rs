@@ -11,8 +11,8 @@ use crate::slab::IdSlab;
 use crate::stats::NetStats;
 use itb_obs::{LinkLoad, PacketTracer, Stage};
 use itb_sim::stats::Accum;
-use itb_sim::{narrow, FxHashMap, SimDuration, SimRng, SimTime};
-use itb_topo::{HostId, Node, Partition, PortIx, SwitchId, Topology};
+use itb_sim::{narrow, SimDuration, SimRng, SimTime};
+use itb_topo::{HostId, Node, PortIx, SwitchId, Topology};
 use std::collections::VecDeque;
 
 /// Scheduling hook: the embedding world turns these into entries of its own
@@ -233,82 +233,6 @@ struct FaultState {
     down: Vec<Vec<(SimTime, SimTime)>>,
 }
 
-/// A cross-shard network effect captured during a parallel window: an event
-/// that must fire on another shard, optionally carrying the packet's
-/// registry state (shipped with the head flit the first time a worm crosses
-/// a cut cable). Opaque outside this crate: the parallel cluster driver
-/// moves these between shards and hands them back through
-/// [`Network::adopt_handoff`].
-#[derive(Debug)]
-pub struct NetHandoff {
-    fire_at: SimTime,
-    /// Clock of the event that produced this effect (the sequential
-    /// schedule rank).
-    rank_time: SimTime,
-    /// Source-shard capture sequence (FIFO among one shard's handoffs).
-    seq: u64,
-    ev: NetEvent,
-    /// Registry state travelling with a head flit over a cut cable.
-    state: Option<Box<PacketState>>,
-}
-
-impl NetHandoff {
-    /// Absolute time the event fires on the destination shard.
-    pub fn fire_at(&self) -> SimTime {
-        self.fire_at
-    }
-
-    /// Schedule rank: the clock of the producing event on the source shard.
-    pub fn rank_time(&self) -> SimTime {
-        self.rank_time
-    }
-
-    /// Source-shard capture sequence.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-}
-
-/// Sharded-execution context (parallel runs only; `None` keeps every
-/// sequential code path byte-for-byte unchanged).
-struct NetShardCtx {
-    /// This shard's id.
-    me: u32,
-    /// Total shard count — also the packet-id stride: shard `s` allocates
-    /// ids `s, s + stride, s + 2·stride, …` so allocations on different
-    /// shards can never collide.
-    stride: u64,
-    /// Shard owning each channel's *source* node (mutator of its state).
-    chan_src_shard: Vec<u32>,
-    /// Shard owning each channel's *sink* node.
-    chan_sink_shard: Vec<u32>,
-    /// Per-destination-shard handoff buffers for the current window.
-    outboxes: Vec<Vec<NetHandoff>>,
-    /// Capture sequence for this shard's handoffs.
-    out_seq: u64,
-}
-
-impl NetShardCtx {
-    /// Buffer `ev` for shard `dst` instead of scheduling it locally.
-    fn handoff(
-        &mut self,
-        dst: u32,
-        fire_at: SimTime,
-        rank_time: SimTime,
-        ev: NetEvent,
-        state: Option<Box<PacketState>>,
-    ) {
-        self.out_seq += 1;
-        self.outboxes[dst as usize].push(NetHandoff {
-            fire_at,
-            rank_time,
-            seq: self.out_seq,
-            ev,
-            state,
-        });
-    }
-}
-
 /// The complete network model. See crate docs.
 pub struct Network {
     // detlint::allow(T003, per-run wiring: the topology is fixed before the first event and never mutated)
@@ -348,13 +272,6 @@ pub struct Network {
     /// model checker drives this overlay to explore link-down interleavings
     /// without a probabilistic plan.
     forced_down: Vec<bool>,
-    /// Sharded-execution context (None = sequential run).
-    shard: Option<NetShardCtx>,
-    /// Packets owned by another shard that are currently traversing this
-    /// one (adopted from a head-flit handoff). Kept out of the [`IdSlab`]:
-    /// its sliding window forbids re-registering an id, and foreign ids
-    /// don't belong to this shard's stride anyway.
-    foreign: FxHashMap<u64, PacketState>,
 }
 
 impl Network {
@@ -452,159 +369,6 @@ impl Network {
             blocking: Accum::new(),
             faults: None,
             forced_down: vec![false; nl],
-            shard: None,
-            foreign: FxHashMap::default(),
-        }
-    }
-
-    /// Enter sharded-parallel mode: this instance models shard `me` of
-    /// `part` and buffers cross-shard effects into per-destination outboxes
-    /// (drained by [`Network::take_net_outbox`], delivered through
-    /// [`Network::adopt_handoff`]).
-    ///
-    /// Must be called on a freshly built network, before any injection, and
-    /// only for configurations whose event flow is shard-independent:
-    /// faults, forced corruption and per-packet timelines key off global
-    /// packet-id arithmetic or global RNG draws and would diverge from the
-    /// sequential run under strided ids.
-    ///
-    /// # Panics
-    /// Panics on any violated precondition.
-    pub fn set_shard_ctx(&mut self, me: u32, part: &Partition) {
-        assert!(me < part.shards, "shard id out of range");
-        assert!(
-            self.packets.is_empty() && self.next_packet == 0,
-            "shard context must be installed before any injection"
-        );
-        assert!(
-            self.faults.is_none(),
-            "parallel mode requires a no-fault plan"
-        );
-        assert!(
-            self.cfg.corrupt_every.is_none(),
-            "parallel mode forbids corrupt_every (global packet-id arithmetic)"
-        );
-        assert!(
-            !self.cfg.record_timelines,
-            "parallel mode forbids per-packet timelines"
-        );
-        assert!(
-            !self.tracer.is_enabled(),
-            "parallel mode forbids the lifecycle tracer"
-        );
-        let chan_src_shard = self
-            .chans
-            .iter()
-            .map(|c| match c.source {
-                ChanSource::SwitchOut { sw, .. } => part.shard_of(sw),
-                ChanSource::HostTx(h) => part.host_shard(h),
-            })
-            .collect();
-        let chan_sink_shard = self
-            .chans
-            .iter()
-            .map(|c| match c.sink {
-                ChanSink::SwitchIn { sw, .. } => part.shard_of(sw),
-                ChanSink::HostRx(h) => part.host_shard(h),
-            })
-            .collect();
-        // Host cables never cross shards (hosts shard with their switch).
-        debug_assert!(self.chans.iter().all(|c| {
-            match (c.source, c.sink) {
-                (ChanSource::HostTx(h), ChanSink::SwitchIn { sw, .. })
-                | (ChanSource::SwitchOut { sw, .. }, ChanSink::HostRx(h)) => {
-                    part.host_shard(h) == part.shard_of(sw)
-                }
-                _ => true,
-            }
-        }));
-        self.next_packet = u64::from(me);
-        self.shard = Some(NetShardCtx {
-            me,
-            stride: u64::from(part.shards),
-            chan_src_shard,
-            chan_sink_shard,
-            outboxes: (0..part.shards).map(|_| Vec::new()).collect(),
-            out_seq: 0,
-        });
-    }
-
-    /// Allocate a capture-sequence number from this shard's *single*
-    /// envelope counter. Cross-shard delivery notices (captured by the GM
-    /// layer) draw from the same counter as net handoffs, so every envelope
-    /// a shard emits carries a globally unique
-    /// `(fire time, rank time, shard, seq)` merge key — the uniqueness the
-    /// parallel merge order is documented to rely on.
-    ///
-    /// # Panics
-    /// Panics outside sharded mode (sequential runs never capture).
-    pub fn alloc_handoff_seq(&mut self) -> u64 {
-        // detlint::allow(S001, callers capture cross-shard envelopes, which only exist after set_shard_ctx installed the context)
-        let s = self.shard.as_mut().expect("sharded mode only");
-        s.out_seq += 1;
-        s.out_seq
-    }
-
-    /// Drain the handoffs captured for shard `dst` during the current
-    /// window, in capture (= deterministic execution) order.
-    pub fn take_net_outbox(&mut self, dst: u32) -> Vec<NetHandoff> {
-        match self.shard.as_mut() {
-            Some(s) => std::mem::take(&mut s.outboxes[dst as usize]),
-            None => Vec::new(),
-        }
-    }
-
-    /// Accept a handoff from another shard: adopt any carried packet state
-    /// and return the event, which the caller schedules with the handoff's
-    /// rank (see `EventQueue::schedule_ranked`).
-    pub fn adopt_handoff(&mut self, h: NetHandoff) -> NetEvent {
-        if let Some(state) = h.state {
-            let NetEvent::RxFlit { packet, .. } = h.ev else {
-                unreachable!("only head-flit handoffs carry packet state");
-            };
-            let prev = self.foreign.insert(packet.0, *state);
-            debug_assert!(prev.is_none(), "packet {packet:?} adopted twice");
-        }
-        h.ev
-    }
-
-    /// Registry lookup spanning both owned (slab) and adopted (foreign)
-    /// packets. Sequential runs hit the slab only — same code, zero cost.
-    #[inline]
-    fn pkt_get(&self, id: u64) -> Option<&PacketState> {
-        let key = match &self.shard {
-            None => id,
-            Some(s) if id % s.stride == u64::from(s.me) => id / s.stride,
-            Some(_) => return self.foreign.get(&id),
-        };
-        self.packets.get(key).or_else(|| self.foreign.get(&id))
-    }
-
-    /// Exclusive [`Network::pkt_get`].
-    #[inline]
-    fn pkt_get_mut(&mut self, id: u64) -> Option<&mut PacketState> {
-        let key = match &self.shard {
-            None => id,
-            Some(s) if id % s.stride == u64::from(s.me) => id / s.stride,
-            Some(_) => return self.foreign.get_mut(&id),
-        };
-        match self.packets.get_mut(key) {
-            Some(p) => Some(p),
-            None => self.foreign.get_mut(&id),
-        }
-    }
-
-    /// Remove a packet from whichever registry holds it.
-    #[inline]
-    fn pkt_remove(&mut self, id: u64) -> Option<PacketState> {
-        let key = match &self.shard {
-            None => id,
-            Some(s) if id % s.stride == u64::from(s.me) => id / s.stride,
-            Some(_) => return self.foreign.remove(&id),
-        };
-        match self.packets.remove(key) {
-            Some(p) => Some(p),
-            None => self.foreign.remove(&id),
         }
     }
 
@@ -662,7 +426,7 @@ impl Network {
     /// the packet existed and was not already corrupted (counted under
     /// `NetStats::forced_corrupts`).
     pub fn force_corrupt(&mut self, id: PacketId, now: SimTime) -> bool {
-        match self.pkt_get_mut(id.0) {
+        match self.packets.get_mut(id.0) {
             Some(pkt) if !pkt.corrupted => {
                 pkt.corrupted = true;
                 self.stats.forced_corrupts += 1;
@@ -689,7 +453,7 @@ impl Network {
         }
         let roll = f.rng.f64();
         // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
-        let pkt = self.pkt_get_mut(id.0).expect("packet exists");
+        let pkt = self.packets.get_mut(id.0).expect("packet exists");
         if roll < drop_p {
             if !pkt.corrupted {
                 pkt.corrupted = true;
@@ -718,7 +482,7 @@ impl Network {
             return;
         }
         // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
-        let pkt = self.pkt_get_mut(id.0).expect("packet exists");
+        let pkt = self.packets.get_mut(id.0).expect("packet exists");
         if !pkt.corrupted {
             pkt.corrupted = true;
             self.stats.link_down_drops += 1;
@@ -773,7 +537,7 @@ impl Network {
         if !self.cfg.record_timelines {
             return;
         }
-        if let Some(p) = self.pkt_get_mut(id.0) {
+        if let Some(p) = self.packets.get_mut(id.0) {
             p.timeline.push(TimelineEntry { tag, value, t });
         }
     }
@@ -792,22 +556,22 @@ impl Network {
         std::mem::swap(&mut self.indications, buf);
     }
 
-    /// Number of packets still registered (in flight or awaiting retire),
-    /// counting adopted foreign packets in parallel runs.
+    /// Number of packets still registered (in flight or awaiting retire).
     pub fn in_flight(&self) -> usize {
-        self.packets.len() + self.foreign.len()
+        self.packets.len()
     }
 
     /// Inspect an in-flight packet (panics on unknown id).
     pub fn packet(&self, id: PacketId) -> &PacketState {
         // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
-        self.pkt_get(id.0).expect("packet exists")
+        self.packets.get(id.0).expect("packet exists")
     }
 
     /// The two-byte packet type currently at the head of a packet's header,
     /// if the packet is positioned at a NIC.
     pub fn packet_type(&self, id: PacketId) -> Option<u16> {
-        self.pkt_get(id.0)
+        self.packets
+            .get(id.0)
             // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
             .expect("packet exists")
             .desc
@@ -819,7 +583,7 @@ impl Network {
     /// NIC (the MCP does this before reprogramming the send DMA).
     pub fn strip_itb_group(&mut self, id: PacketId) -> u8 {
         // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
-        let p = self.pkt_get_mut(id.0).expect("packet exists");
+        let p = self.packets.get_mut(id.0).expect("packet exists");
         p.itb_hops += 1;
         p.desc.header.strip_itb_group()
     }
@@ -828,7 +592,7 @@ impl Network {
     /// final state (header should start with the GM type).
     pub fn retire(&mut self, id: PacketId) -> PacketState {
         // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
-        let st = self.pkt_remove(id.0).expect("packet exists");
+        let st = self.packets.remove(id.0).expect("packet exists");
         if self.cfg.record_timelines {
             self.retired_timelines.push((id, st.timeline.clone()));
         }
@@ -867,37 +631,11 @@ impl Network {
     /// to [`Network::inject_allocated`] when the send DMA is programmed.
     pub fn allocate_packet_id(&mut self) -> PacketId {
         let id = PacketId(self.next_packet);
-        // Sharded runs stride the id space (shard `s` allocates `s`,
-        // `s + stride`, …) and keep the slab dense by dividing the stride
-        // back out of the key.
-        let (step, key) = match &self.shard {
-            None => (1, id.0),
-            Some(s) => (s.stride, id.0 / s.stride),
-        };
-        self.next_packet += step;
+        self.next_packet += 1;
         // Pin the registry window: the packet may be registered well after
         // later-allocated ids have come and gone.
-        self.packets.reserve(key);
+        self.packets.reserve(id.0);
         id
-    }
-
-    /// Slab key of a locally allocated packet id (identity in sequential
-    /// runs; stride divided out in sharded runs).
-    ///
-    /// # Panics
-    /// Panics if `id` belongs to another shard's stride — only this shard's
-    /// allocations may be registered here.
-    fn own_slab_key(&self, id: u64) -> u64 {
-        match &self.shard {
-            None => id,
-            Some(s) => {
-                assert!(
-                    id % s.stride == u64::from(s.me),
-                    "packet id {id} allocated on another shard"
-                );
-                id / s.stride
-            }
-        }
     }
 
     /// Inject a packet at `host`. `avail` bytes are sendable immediately
@@ -941,7 +679,7 @@ impl Network {
             timeline: Vec::new(),
         };
         let total = st.wire_len();
-        self.packets.insert(self.own_slab_key(id.0), st);
+        self.packets.insert(id.0, st);
         self.stats.injected += 1;
         self.note(id, "inject", u32::from(host.0), now);
         self.trace(id, Stage::NetInject, u32::from(host.0), now);
@@ -969,7 +707,7 @@ impl Network {
         sched: &mut impl NetSched,
     ) {
         // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
-        let total = self.pkt_get(id.0).expect("packet exists").wire_len();
+        let total = self.packets.get(id.0).expect("packet exists").wire_len();
         self.note(id, "reinject", u32::from(host.0), now);
         self.trace(id, Stage::NetReinject, u32::from(host.0), now);
         let hp = &mut self.hosts[host.idx()];
@@ -1071,24 +809,14 @@ impl Network {
                 let id = front.id;
                 inp.occupancy -= bytes;
                 // GO when the buffer drains below threshold. The control
-                // byte travels to the channel's *source* node, which may
-                // live on another shard (direct field borrows keep `inp`
-                // usable alongside `self.shard`).
+                // byte travels to the channel's *source* node.
                 if inp.stopped && inp.occupancy <= self.cfg.go_threshold {
                     inp.stopped = false;
-                    let up = inp.in_chan;
-                    let fire = now + self.cfg.ctrl_latency;
                     let ev = NetEvent::Ctrl {
-                        ch: up,
+                        ch: inp.in_chan,
                         stop: false,
                     };
-                    match &mut self.shard {
-                        Some(s) if s.chan_src_shard[up as usize] != s.me => {
-                            let dst = s.chan_src_shard[up as usize];
-                            s.handoff(dst, fire, now, ev, None);
-                        }
-                        _ => sched.at(fire, ev),
-                    }
+                    sched.at(now + self.cfg.ctrl_latency, ev);
                 }
                 if tail {
                     inp.queue.pop_front();
@@ -1111,40 +839,16 @@ impl Network {
         let prop = c.prop;
         let ser = self.cfg.link_bw.transfer_time(u64::from(bytes));
         sched.at(now + ser, NetEvent::TxDone { ch });
-        let fire = now + ser + prop;
-        let ev = NetEvent::RxFlit {
-            ch,
-            packet: id,
-            bytes,
-            head,
-            tail,
-        };
-        let cross_dst = match &self.shard {
-            Some(s) if s.chan_sink_shard[ch as usize] != s.me => {
-                Some(s.chan_sink_shard[ch as usize])
-            }
-            _ => None,
-        };
-        match cross_dst {
-            Some(dst) => {
-                // The head flit carries the packet's registry state to the
-                // sink shard; the worm's body needs no registry access on
-                // this side after that.
-                let state = if head {
-                    let st = self
-                        .pkt_remove(id.0)
-                        // detlint::allow(S001, the head flit of a live worm is always registered)
-                        .expect("crossing packet is registered");
-                    Some(Box::new(st))
-                } else {
-                    None
-                };
-                // detlint::allow(S001, cross_dst is only Some when the shard ctx exists)
-                let s = self.shard.as_mut().expect("shard ctx present");
-                s.handoff(dst, fire, now, ev, state);
-            }
-            None => sched.at(fire, ev),
-        }
+        sched.at(
+            now + ser + prop,
+            NetEvent::RxFlit {
+                ch,
+                packet: id,
+                bytes,
+                head,
+                tail,
+            },
+        );
     }
 
     fn on_tx_done(&mut self, ch: u32, now: SimTime, sched: &mut impl NetSched) {
@@ -1268,18 +972,12 @@ impl Network {
                 );
                 if !inp.stopped && inp.occupancy >= cfg_stop {
                     inp.stopped = true;
-                    let up = inp.in_chan;
-                    let fire = now + self.cfg.ctrl_latency;
-                    let ev = NetEvent::Ctrl { ch: up, stop: true };
-                    // STOP travels upstream to the channel's source node,
-                    // which may live on another shard.
-                    match &mut self.shard {
-                        Some(s) if s.chan_src_shard[up as usize] != s.me => {
-                            let dst = s.chan_src_shard[up as usize];
-                            s.handoff(dst, fire, now, ev, None);
-                        }
-                        _ => sched.at(fire, ev),
-                    }
+                    // STOP travels upstream to the channel's source node.
+                    let ev = NetEvent::Ctrl {
+                        ch: inp.in_chan,
+                        stop: true,
+                    };
+                    sched.at(now + self.cfg.ctrl_latency, ev);
                 }
                 if head && is_front && !inp.route_pending {
                     self.schedule_front_routing(sw, port, now, sched);
@@ -1362,7 +1060,8 @@ impl Network {
         // fall-through), without consuming it yet.
         let front_id = front.id;
         let hdr = &self
-            .pkt_get(front_id.0)
+            .packets
+            .get(front_id.0)
             // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
             .expect("packet exists")
             .desc
@@ -1403,7 +1102,7 @@ impl Network {
         inp.occupancy -= 1;
         front.routed = true;
         // detlint::allow(S001, packet ids stay live in the registry until delivery removes them)
-        let pkt = self.pkt_get_mut(id.0).expect("packet exists");
+        let pkt = self.packets.get_mut(id.0).expect("packet exists");
         let out_port = pkt.desc.header.consume_route_byte();
         pkt.route_bytes_consumed += 1;
         let inp = self.inputs[sw.idx()][port.idx()]
@@ -1576,19 +1275,8 @@ impl Network {
     /// the event queue drained — i.e. a wormhole deadlock or a packet parked
     /// at a NIC awaiting action. Used by tests to *observe* deadlock.
     pub fn parked_packets(&self) -> Vec<PacketId> {
-        // Slab keys are dense; multiply the stride back in under sharding.
-        let (stride, me) = match &self.shard {
-            None => (1, 0),
-            Some(s) => (s.stride, u64::from(s.me)),
-        };
-        let mut v: Vec<PacketId> = self
-            .packets
-            .ids()
-            .map(|k| PacketId(k * stride + me))
-            .chain(self.foreign.keys().map(|&id| PacketId(id)))
-            .collect();
-        v.sort();
-        v
+        // The slab iterates ids ascending.
+        self.packets.ids().map(PacketId).collect()
     }
 
     /// Fold every *behavioral* field of the network — channel serializer and
@@ -1660,8 +1348,7 @@ impl Network {
                 }
             }
         }
-        // The registry, in id order (the slab iterates ids ascending; the
-        // checker never runs sharded, so `foreign` is empty).
+        // The registry, in id order.
         d.usize(self.in_flight());
         for id in self.parked_packets() {
             let st = self.packet(id);

@@ -1,10 +1,8 @@
-//! Artifact exporters: JSONL event dumps, Chrome `trace_event` JSON (packet
-//! lifecycles and per-shard PDES window gantts) and per-stage latency
-//! attribution.
+//! Artifact exporters: JSONL event dumps, Chrome `trace_event` JSON of
+//! packet lifecycles and per-stage latency attribution.
 
 use crate::stage::Stage;
 use crate::tracer::{PacketTracer, StageEvent};
-use itb_sim::par::WindowRecord;
 use serde::Value;
 use std::io;
 
@@ -215,130 +213,6 @@ pub fn write_chrome_trace<W: io::Write>(tracer: &PacketTracer, w: &mut W) -> io:
     w.write_all(b"\n")
 }
 
-/// Run-level facts recorded as Chrome-trace metadata so a window-gantt trace
-/// file is self-describing without its JSON sidecar.
-#[derive(Debug, Clone)]
-pub struct ParTraceMeta {
-    /// Cross-shard same-picosecond rank ties over the whole run (0 proves
-    /// byte-identity with sequential execution).
-    pub cross_shard_ties: u64,
-    /// Events dispatched per shard, indexed by shard id.
-    pub per_shard_events: Vec<u64>,
-    /// `std::thread::available_parallelism()` observed at run time.
-    pub available_parallelism: u64,
-    /// Worker threads the run was configured with.
-    pub threads: u32,
-}
-
-/// Render per-(shard, window) PDES profiler records as a Chrome `trace_event`
-/// window-utilization gantt: one "thread" lane per shard (tid = shard id),
-/// one complete ("X") slice per epoch window spanning `[g, limit)` in sim
-/// time, with event/envelope/tie counts and barrier wall-ns in `args`.
-/// `meta` lands in a single `itb_par_meta` metadata event.
-pub fn par_windows_chrome_trace(records: &[WindowRecord], meta: &ParTraceMeta) -> String {
-    let mut events = Vec::new();
-    events.push(Value::Object(vec![
-        ("name".to_string(), Value::Str("itb_par_meta".to_string())),
-        ("ph".to_string(), Value::Str("M".to_string())),
-        ("pid".to_string(), Value::UInt(0)),
-        ("tid".to_string(), Value::UInt(0)),
-        (
-            "args".to_string(),
-            Value::Object(vec![
-                (
-                    "cross_shard_ties".to_string(),
-                    Value::UInt(meta.cross_shard_ties),
-                ),
-                (
-                    "per_shard_events".to_string(),
-                    Value::Array(
-                        meta.per_shard_events
-                            .iter()
-                            .map(|&e| Value::UInt(e))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "available_parallelism".to_string(),
-                    Value::UInt(meta.available_parallelism),
-                ),
-                ("threads".to_string(), Value::UInt(u64::from(meta.threads))),
-            ]),
-        ),
-    ]));
-    let mut named = std::collections::BTreeSet::new();
-    for r in records {
-        if named.insert(r.shard) {
-            events.push(Value::Object(vec![
-                ("name".to_string(), Value::Str("thread_name".to_string())),
-                ("ph".to_string(), Value::Str("M".to_string())),
-                ("pid".to_string(), Value::UInt(0)),
-                ("tid".to_string(), Value::UInt(u64::from(r.shard))),
-                (
-                    "args".to_string(),
-                    Value::Object(vec![(
-                        "name".to_string(),
-                        Value::Str(format!("shard {}", r.shard)),
-                    )]),
-                ),
-            ]));
-        }
-        // Chrome trace ts/dur are microseconds; window bounds are sim ps.
-        #[allow(clippy::cast_precision_loss)]
-        let (ts_us, dur_us) = (
-            r.g_ps as f64 / 1e6,
-            r.limit_ps.saturating_sub(r.g_ps) as f64 / 1e6,
-        );
-        events.push(Value::Object(vec![
-            (
-                "name".to_string(),
-                Value::Str(format!("window {}", r.window)),
-            ),
-            ("cat".to_string(), Value::Str("pdes_window".to_string())),
-            ("ph".to_string(), Value::Str("X".to_string())),
-            ("ts".to_string(), Value::Float(ts_us)),
-            ("dur".to_string(), Value::Float(dur_us)),
-            ("pid".to_string(), Value::UInt(0)),
-            ("tid".to_string(), Value::UInt(u64::from(r.shard))),
-            (
-                "args".to_string(),
-                Value::Object(vec![
-                    ("window".to_string(), Value::UInt(r.window)),
-                    ("events".to_string(), Value::UInt(r.events)),
-                    ("envelopes_in".to_string(), Value::UInt(r.envelopes_in)),
-                    ("envelopes_out".to_string(), Value::UInt(r.envelopes_out)),
-                    ("ties".to_string(), Value::UInt(r.ties)),
-                    (
-                        "barrier_a_wait_ns".to_string(),
-                        Value::UInt(r.barrier_a_wait_ns),
-                    ),
-                    (
-                        "barrier_b_wait_ns".to_string(),
-                        Value::UInt(r.barrier_b_wait_ns),
-                    ),
-                ]),
-            ),
-        ]));
-    }
-    let doc = Value::Object(vec![
-        ("traceEvents".to_string(), Value::Array(events)),
-        ("displayTimeUnit".to_string(), Value::Str("ns".to_string())),
-    ]);
-    // detlint::allow(S001, the window gantt document serializes by construction)
-    serde_json::to_string_pretty(&doc).expect("window gantt serializes")
-}
-
-/// Stream the PDES window gantt into `w` (delegates to
-/// [`par_windows_chrome_trace`]; wrap file sinks in a `BufWriter`).
-pub fn write_par_windows_chrome_trace<W: io::Write>(
-    records: &[WindowRecord],
-    meta: &ParTraceMeta,
-    w: &mut W,
-) -> io::Result<()> {
-    w.write_all(par_windows_chrome_trace(records, meta).as_bytes())?;
-    w.write_all(b"\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,65 +335,5 @@ mod tests {
         let mut buf = Vec::new();
         write_chrome_trace(&t, &mut buf).unwrap();
         assert_eq!(String::from_utf8(buf).unwrap(), to_chrome_trace(&t) + "\n");
-    }
-
-    fn window(shard: u32, window: u64, g_ps: u64) -> WindowRecord {
-        WindowRecord {
-            shard,
-            window,
-            g_ps,
-            limit_ps: g_ps + 6_000_000,
-            events: 10 + u64::from(shard),
-            envelopes_in: 2,
-            envelopes_out: 3,
-            ties: 0,
-            barrier_a_wait_ns: 120,
-            barrier_b_wait_ns: 80,
-        }
-    }
-
-    #[test]
-    fn par_window_gantt_has_shard_lanes_and_meta() {
-        let records = vec![window(0, 0, 0), window(0, 1, 6_000_000), window(1, 0, 0)];
-        let meta = ParTraceMeta {
-            cross_shard_ties: 7,
-            per_shard_events: vec![21, 11],
-            available_parallelism: 8,
-            threads: 2,
-        };
-        let out = par_windows_chrome_trace(&records, &meta);
-        // Self-describing metadata (satellite: no JSON sidecar needed).
-        assert!(out.contains("\"itb_par_meta\""));
-        assert!(out.contains("\"cross_shard_ties\": 7"));
-        assert!(out.contains("\"available_parallelism\": 8"));
-        assert!(out.contains("\"per_shard_events\""));
-        // One lane per shard, named once.
-        assert_eq!(out.matches("\"shard 0\"").count(), 1);
-        assert_eq!(out.matches("\"shard 1\"").count(), 1);
-        // One X slice per window with sim-time span in µs: the second
-        // window of shard 0 starts at 6e6 ps = 6 µs and spans 6 µs.
-        assert_eq!(out.matches("\"pdes_window\"").count(), 3);
-        assert!(out.contains("\"window 1\""));
-        assert!(out.contains("\"ts\": 6"));
-        assert!(out.contains("\"dur\": 6"));
-        assert!(out.contains("\"barrier_a_wait_ns\": 120"));
-        // Streaming variant is the string plus a trailing newline.
-        let mut buf = Vec::new();
-        write_par_windows_chrome_trace(&records, &meta, &mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), out + "\n");
-    }
-
-    #[test]
-    fn par_window_gantt_of_empty_run_is_valid() {
-        let meta = ParTraceMeta {
-            cross_shard_ties: 0,
-            per_shard_events: Vec::new(),
-            available_parallelism: 1,
-            threads: 1,
-        };
-        let out = par_windows_chrome_trace(&[], &meta);
-        assert!(out.contains("\"traceEvents\""));
-        assert!(out.contains("\"itb_par_meta\""));
-        assert!(!out.contains("thread_name"));
     }
 }

@@ -1,8 +1,8 @@
 //! # itb-obs — observability for the ITB/Myrinet reproduction
 //!
-//! One crate unifies what used to be three ad-hoc mechanisms (the NIC's
-//! private `sim::trace::Trace` ring, the network's per-packet timeline notes
-//! and the scattered `NetStats`/`NicStats` counters):
+//! One crate unifies what used to be ad-hoc mechanisms (the network's
+//! per-packet timeline notes and the scattered `NetStats`/`NicStats`
+//! counters):
 //!
 //! * [`PacketTracer`] — a bounded, disabled-by-default recorder of typed
 //!   packet-lifecycle [`Stage`] events (`host.inject`, `mcp.early_recv`,
@@ -15,9 +15,7 @@
 //! * [`export`] — artifact writers: JSONL event dumps, Chrome
 //!   `trace_event` JSON (openable in Perfetto / `chrome://tracing`), a
 //!   per-stage latency attribution that decomposes an end-to-end packet
-//!   latency into injection / wormhole transit / ITB-hop / delivery, and a
-//!   per-shard PDES window-utilization gantt built from
-//!   `itb_sim::par` profiler records.
+//!   latency into injection / wormhole transit / ITB-hop / delivery.
 //! * [`timeline`] — a sim-time timeline sampler: periodic [`Snapshot`]
 //!   deltas (driven by scheduled sim events, never wall-clock) streamed as
 //!   a JSONL series of per-interval injected/delivered/link-load change.
@@ -36,7 +34,7 @@ pub mod stage;
 pub mod timeline;
 pub mod tracer;
 
-pub use export::{attribute, spans, Attribution, ParTraceMeta, Span};
+pub use export::{attribute, spans, Attribution, Span};
 pub use frame::{LinkVals, MetricsFrame, MetricsSchema};
 pub use health::{BufferAudit, HealthConfig, HealthMonitor, HealthReport, Violation};
 pub use metrics::{LinkLoad, QuantileSummary, Snapshot};

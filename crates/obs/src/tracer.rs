@@ -19,10 +19,10 @@ pub struct StageEvent {
 
 /// A bounded recorder of [`StageEvent`]s, disabled by default.
 ///
-/// This is the typed successor of `itb_sim::trace::Trace`: the same
-/// cheap-when-disabled branch, capacity bound and dropped-record accounting,
-/// but with machine-readable stages and packet ids instead of free-form
-/// strings, shared by every layer of the stack rather than owned per-NIC.
+/// Recording costs a single branch while disabled; a capacity bound caps
+/// memory and counts the records it drops. Stages are machine-readable and
+/// keyed by packet id, and one tracer is shared by every layer of the
+/// stack rather than owned per-NIC.
 #[derive(Debug, Clone)]
 pub struct PacketTracer {
     enabled: bool,

@@ -15,8 +15,8 @@
 //!   maps (no SipHash cost, no per-process iteration-order randomness).
 //! * [`World`] / [`run_until`] — the minimal event-loop contract used by the
 //!   integrated cluster simulator in `itb-gm`.
-//! * [`stats`] — streaming accumulators, histograms and (x, y) series used by
-//!   the experiment harness.
+//! * [`stats`] — streaming accumulators, quantile estimators and (x, y)
+//!   series used by the experiment harness.
 //! * [`rng`] — a small deterministic PRNG (xoshiro256**) so simulation
 //!   reproducibility does not depend on the `rand` crate's internals.
 
@@ -26,18 +26,15 @@
 pub mod digest;
 pub mod engine;
 pub mod fxmap;
-pub mod par;
 pub mod queue;
 pub mod rate;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use digest::Digest;
 pub use engine::{run_for, run_until, run_while, World};
 pub use fxmap::{FxHashMap, FxHashSet};
-pub use par::{run_shards, Envelope, ParReport, ShardWorld};
 pub use queue::EventQueue;
 pub use rate::ByteInterval;
 pub use rng::SimRng;

@@ -2,49 +2,24 @@
 
 use crate::time::{SimDuration, SimTime};
 
-/// One scheduled entry: fires at `time`; `(rank_time, rank)` breaks ties
-/// among simultaneous events.
-///
-/// `rank_time` is the timestamp of the *scheduling* event (the queue clock
-/// at the moment `schedule` was called). `rank` packs the scheduling shard
-/// id (high [`SHARD_BITS`] bits, 0 in sequential runs) over the schedule
-/// sequence number (low [`SEQ_BITS`] bits) — one word, but it compares
-/// exactly like the tuple `(shard, seq)` because `seq` never reaches
-/// 2^[`SEQ_BITS`] (asserted on every schedule). Both rank components exist
-/// so the parallel engine can reproduce the sequential tie order: a
-/// cross-shard handoff re-scheduled after a barrier carries its original
-/// rank instead of the (later, nondeterministic) merge-time rank.
+/// One scheduled entry: fires at `time`; `seq` (the queue's schedule
+/// counter at the moment of the `schedule` call) breaks ties among
+/// simultaneous events.
 struct Entry<E> {
     time: SimTime,
-    rank_time: SimTime,
-    rank: u64,
+    seq: u64,
     event: E,
 }
 
 impl<E> Entry<E> {
-    /// Total order on `(time, rank_time, rank)`. Keys are unique (the `seq`
-    /// low bits of `rank` increment on every schedule), so any heap
-    /// discipline pops entries in exactly this order — the heap's arity
-    /// cannot perturb determinism.
-    ///
-    /// In a sequential run this order equals the historical `(time, seq)`
-    /// order: `rank_time` is the queue clock at schedule time, which never
-    /// decreases as `seq` increases, and the shard bits are constantly 0 —
-    /// so among entries with equal `time`, sorting by `(rank_time, rank)`
-    /// sorts by `seq`.
+    /// Total order on `(time, seq)`. Keys are unique (`seq` increments on
+    /// every schedule), so any heap discipline pops entries in exactly this
+    /// order — the heap's arity cannot perturb determinism.
     #[inline]
-    fn key(&self) -> (SimTime, SimTime, u64) {
-        (self.time, self.rank_time, self.rank)
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
     }
 }
-
-/// Low bits of an entry's `rank`: the per-queue schedule sequence number.
-const SEQ_BITS: u32 = 48;
-/// High bits of an entry's `rank`: the scheduling shard id.
-const SHARD_BITS: u32 = 16;
-/// Exclusive upper bound on sequence numbers (2^48 ≈ 2.8 × 10^14 schedules
-/// — about a month of continuous scheduling at the engine's measured rate).
-const SEQ_LIMIT: u64 = 1 << SEQ_BITS;
 
 /// Heap arity. A 4-ary heap is ~half the depth of a binary heap: fewer
 /// sift levels per push/pop and better cache behaviour on the fat union
@@ -63,22 +38,12 @@ const D: usize = 4;
 /// in exactly the order the previous `BinaryHeap` implementation did (see
 /// `tests/queue_determinism.rs` for the differential proof).
 pub struct EventQueue<E> {
-    /// Min-heap on `(time, rank_time, rank)`, `D`-ary, rooted at index 0.
+    /// Min-heap on `(time, seq)`, `D`-ary, rooted at index 0.
     heap: Vec<Entry<E>>,
+    /// Sequence number the next scheduled entry receives.
     seq: u64,
     now: SimTime,
     popped: u64,
-    /// Tie-break shard id stamped on locally scheduled entries, pre-shifted
-    /// into the high [`SHARD_BITS`] of `rank`. 0 in sequential runs; the
-    /// parallel engine sets each shard's own id so same-picosecond events
-    /// from different shards merge in a fixed order.
-    rank_base: u64,
-    /// Key of the most recently popped entry (see
-    /// [`EventQueue::cross_shard_ties`]).
-    last_pop: Option<(SimTime, SimTime, u64)>,
-    /// Count of pops whose `(time, rank_time)` equalled the previous pop's
-    /// while the shard bits of `rank` differed.
-    cross_shard_ties: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -95,22 +60,7 @@ impl<E> EventQueue<E> {
             seq: 0,
             now: SimTime::ZERO,
             popped: 0,
-            rank_base: 0,
-            last_pop: None,
-            cross_shard_ties: 0,
         }
-    }
-
-    /// Set the shard id stamped on locally scheduled entries (see
-    /// [`EventQueue::schedule_ranked`]). The parallel engine calls this once
-    /// per shard queue; sequential code never needs it (the default 0 keeps
-    /// the historical `(time, seq)` order exactly).
-    ///
-    /// # Panics
-    /// Panics if `shard` does not fit in the [`SHARD_BITS`] rank field.
-    pub fn set_shard_rank(&mut self, shard: u32) {
-        assert!(shard < (1 << SHARD_BITS), "shard id {shard} out of range");
-        self.rank_base = u64::from(shard) << SEQ_BITS;
     }
 
     /// Current simulation time: the timestamp of the most recently popped
@@ -137,55 +87,14 @@ impl<E> EventQueue<E> {
             "scheduled into the past: at={at} now={}",
             self.now
         );
-        let seq = self.next_seq();
-        self.heap.push(Entry {
-            time: at,
-            rank_time: self.now,
-            rank: self.rank_base | seq,
-            event,
-        });
-        self.sift_up(self.heap.len() - 1);
-    }
-
-    /// Schedule `event` at `at` with an explicit tie-break rank, preserving
-    /// the rank it was *originally* scheduled with on another shard.
-    ///
-    /// The parallel engine uses this when absorbing cross-shard handoffs: a
-    /// remote event generated at time `rank_time` on shard `rank_src` must
-    /// sort among same-picosecond events exactly as it would have in the
-    /// sequential run, not by its (later) merge time. Sequential code should
-    /// use [`EventQueue::schedule`], which stamps the rank automatically.
-    ///
-    /// # Panics
-    /// Panics if `at` is earlier than the current time or `rank_src` does not
-    /// fit in the [`SHARD_BITS`] rank field.
-    pub fn schedule_ranked(&mut self, at: SimTime, rank_time: SimTime, rank_src: u32, event: E) {
-        assert!(
-            at >= self.now,
-            "scheduled into the past: at={at} now={}",
-            self.now
-        );
-        assert!(
-            rank_src < (1 << SHARD_BITS),
-            "shard id {rank_src} out of range"
-        );
-        let seq = self.next_seq();
-        self.heap.push(Entry {
-            time: at,
-            rank_time,
-            rank: (u64::from(rank_src) << SEQ_BITS) | seq,
-            event,
-        });
-        self.sift_up(self.heap.len() - 1);
-    }
-
-    /// Allocate the next tie-break sequence number.
-    #[inline]
-    fn next_seq(&mut self) -> u64 {
         let seq = self.seq;
-        assert!(seq < SEQ_LIMIT, "event sequence number overflow");
         self.seq += 1;
-        seq
+        self.heap.push(Entry {
+            time: at,
+            seq,
+            event,
+        });
+        self.sift_up(self.heap.len() - 1);
     }
 
     /// Schedule `event` to fire `delta` after the current time — the common
@@ -208,57 +117,30 @@ impl<E> EventQueue<E> {
             self.sift_down(0);
         }
         debug_assert!(entry.time >= self.now);
-        // Entries sharing (time, rank_time) are contiguous in pop order, so
-        // comparing each pop against only its predecessor sees every pair
-        // of tied entries; differing shard bits flag a cross-shard tie.
-        if let Some((t, rt, r)) = self.last_pop {
-            if t == entry.time
-                && rt == entry.rank_time
-                && (r >> SEQ_BITS) != (entry.rank >> SEQ_BITS)
-            {
-                self.cross_shard_ties += 1;
-            }
-        }
-        self.last_pop = Some((entry.time, entry.rank_time, entry.rank));
         self.now = entry.time;
         self.popped += 1;
         Some((entry.time, entry.event))
     }
 
-    /// Number of *cross-shard rank ties* dispatched so far: consecutive pops
-    /// with identical `(time, rank_time)` whose ranks came from different
-    /// shards.
-    ///
-    /// Such a pair is the one place where the parallel engine's tie-break
-    /// (shard id) can differ from the sequential engine's (global schedule
-    /// order), so `cross_shard_ties == 0` across every shard queue *proves*
-    /// the run dispatched events in exactly the sequential order. Always 0
-    /// in sequential runs (every rank carries shard 0).
-    #[inline]
-    pub fn cross_shard_ties(&self) -> u64 {
-        self.cross_shard_ties
-    }
-
-    /// Visit every pending entry in pop order — `(time, rank_time, event)`
-    /// sorted by the full `(time, rank_time, rank)` key — without disturbing
-    /// the heap.
+    /// Visit every pending entry in pop order — `(time, event)` sorted by
+    /// the `(time, seq)` key — without disturbing the heap.
     ///
     /// This exists for the model checker's world digest: the heap's array
     /// layout depends on insertion history, but the *pop order* is the
-    /// canonical meaning of the queue's contents. The raw `rank` is
-    /// deliberately not exposed: its low bits are an ever-increasing
-    /// schedule counter, so two worlds that will dispatch identical events
-    /// at identical times would digest differently if the counter leaked
-    /// in. Relative order among ties is conveyed by iteration position,
-    /// which is all a digest needs (newly scheduled entries always receive
-    /// larger sequence numbers than every pending entry, so position is a
-    /// faithful stand-in for the counter).
-    pub fn iter_ordered(&self) -> impl Iterator<Item = (SimTime, SimTime, &E)> {
+    /// canonical meaning of the queue's contents. The raw `seq` is
+    /// deliberately not exposed: it is an ever-increasing schedule counter,
+    /// so two worlds that will dispatch identical events at identical times
+    /// would digest differently if the counter leaked in. Relative order
+    /// among ties is conveyed by iteration position, which is all a digest
+    /// needs (newly scheduled entries always receive larger sequence
+    /// numbers than every pending entry, so position is a faithful stand-in
+    /// for the counter).
+    pub fn iter_ordered(&self) -> impl Iterator<Item = (SimTime, &E)> {
         let mut ix: Vec<usize> = (0..self.heap.len()).collect();
         ix.sort_unstable_by_key(|&i| self.heap[i].key());
         ix.into_iter().map(move |i| {
             let e = &self.heap[i];
-            (e.time, e.rank_time, &e.event)
+            (e.time, &e.event)
         })
     }
 
@@ -442,39 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_runs_never_count_cross_shard_ties() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_ns(5);
-        for i in 0..50 {
-            q.schedule(t, i);
-        }
-        while q.pop().is_some() {}
-        assert_eq!(q.cross_shard_ties(), 0, "shard bits are uniformly 0");
-    }
-
-    #[test]
-    fn cross_shard_rank_ties_are_detected() {
-        let mut q = EventQueue::new();
-        q.set_shard_rank(1);
-        let t = SimTime::from_ns(10);
-        let rt = SimTime::ZERO;
-        // Local entry (shard 1) and an absorbed remote entry (shard 2) tied
-        // on (time, rank_time): the pair the parallel tie-break can order
-        // differently than the sequential run.
-        q.schedule(t, "local");
-        q.schedule_ranked(t, rt, 2, "remote");
-        assert_eq!(q.pop().unwrap().1, "local");
-        assert_eq!(q.pop().unwrap().1, "remote");
-        assert_eq!(q.cross_shard_ties(), 1);
-        // Different rank_time is not a tie: the order is forced either way.
-        // ("a" is stamped rank_time = now = 10 ns here.)
-        q.schedule(SimTime::from_ns(20), "a");
-        q.schedule_ranked(SimTime::from_ns(20), SimTime::from_ns(5), 2, "b");
-        while q.pop().is_some() {}
-        assert_eq!(q.cross_shard_ties(), 1);
-    }
-
-    #[test]
     fn iter_ordered_matches_pop_order() {
         let mut q = EventQueue::new();
         let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -484,7 +333,7 @@ mod tests {
             x ^= x << 17;
             q.schedule(SimTime::from_ns(x % 37), i);
         }
-        let snapshot: Vec<(SimTime, u64)> = q.iter_ordered().map(|(t, _, &e)| (t, e)).collect();
+        let snapshot: Vec<(SimTime, u64)> = q.iter_ordered().map(|(t, &e)| (t, e)).collect();
         let popped: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(snapshot, popped);
     }

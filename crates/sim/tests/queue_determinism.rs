@@ -6,9 +6,11 @@
 //! Because every entry carries a unique `(time, seq)` key, *any* correct
 //! min-heap pops the same total order — this test pins that equivalence on
 //! randomized workloads with heavy timestamp collisions and interleaved
-//! schedule/pop phases.
+//! schedule/pop phases. It also pins [`EventQueue::iter_ordered`] (the
+//! pending entries in pop order, which the model checker's world digest
+//! reads) and [`EventQueue::clear`] against the same reference.
 
-use itb_sim::{EventQueue, SimTime};
+use itb_sim::{EventQueue, SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -17,6 +19,7 @@ use std::collections::BinaryHeap;
 struct ReferenceQueue {
     heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
     seq: u64,
+    now: SimTime,
 }
 
 impl ReferenceQueue {
@@ -24,6 +27,7 @@ impl ReferenceQueue {
         ReferenceQueue {
             heap: BinaryHeap::new(),
             seq: 0,
+            now: SimTime::ZERO,
         }
     }
 
@@ -33,8 +37,26 @@ impl ReferenceQueue {
         self.heap.push(Reverse((at, seq, payload)));
     }
 
+    fn schedule_after(&mut self, delta: SimDuration, payload: u64) {
+        self.schedule(self.now + delta, payload);
+    }
+
     fn pop(&mut self) -> Option<(SimTime, u64)> {
-        self.heap.pop().map(|Reverse((t, _, p))| (t, p))
+        let (t, _, p) = self.heap.pop()?.0;
+        self.now = t;
+        Some((t, p))
+    }
+
+    /// Drop every pending entry; the clock and the sequence survive.
+    fn clear(&mut self) {
+        self.heap.clear();
+    }
+
+    /// Pending entries sorted by `(time, seq)`, the sequence dropped.
+    fn sorted(&self) -> Vec<(SimTime, u64)> {
+        let mut all: Vec<(SimTime, u64, u64)> = self.heap.iter().map(|r| r.0).collect();
+        all.sort_unstable();
+        all.into_iter().map(|(t, _, p)| (t, p)).collect()
     }
 }
 
@@ -51,23 +73,42 @@ impl XorShift {
     }
 }
 
-/// Drive both queues through an identical randomized schedule/pop
-/// interleaving and assert identical pop sequences.
+/// Drive both queues through an identical randomized schedule/pop/clear
+/// interleaving and assert identical pop sequences and, every round,
+/// identical pending contents in pop order.
 fn differential_run(seed: u64, rounds: usize, time_range: u64) {
     let mut rng = XorShift(seed);
     let mut dut: EventQueue<u64> = EventQueue::new();
     let mut reference = ReferenceQueue::new();
     let mut payload = 0u64;
-    // Track the reference clock so neither queue is scheduled into the past.
-    let mut now = SimTime::ZERO;
     for round in 0..rounds {
-        // Burst of schedules. A small time range forces many exact ties.
+        // Burst of schedules, absolute or relative to the clock. A small
+        // time range forces many exact ties.
         let burst = (rng.next() % 8) as usize + 1;
         for _ in 0..burst {
-            let at = now + itb_sim::SimDuration::from_ns(rng.next() % time_range);
-            dut.schedule(at, payload);
-            reference.schedule(at, payload);
+            let delta = SimDuration::from_ns(rng.next() % time_range);
+            if rng.next().is_multiple_of(2) {
+                let at = reference.now + delta;
+                dut.schedule(at, payload);
+                reference.schedule(at, payload);
+            } else {
+                dut.schedule_after(delta, payload);
+                reference.schedule_after(delta, payload);
+            }
             payload += 1;
+        }
+        let pending: Vec<(SimTime, u64)> = dut.iter_ordered().map(|(t, &p)| (t, p)).collect();
+        assert_eq!(
+            pending,
+            reference.sorted(),
+            "iter_ordered diverges at round {round} (seed {seed})"
+        );
+        // Now and then drop everything pending: the sequence carries on.
+        if round % 29 == 28 {
+            dut.clear();
+            reference.clear();
+            assert!(dut.is_empty());
+            continue;
         }
         // Pop a few (sometimes none, sometimes a drain).
         let pops = if round % 13 == 0 {
@@ -79,10 +120,10 @@ fn differential_run(seed: u64, rounds: usize, time_range: u64) {
             let got = dut.pop();
             let want = reference.pop();
             assert_eq!(got, want, "divergence at round {round} (seed {seed})");
-            match got {
-                Some((t, _)) => now = t,
-                None => break,
+            if got.is_none() {
+                break;
             }
+            assert_eq!(dut.now(), reference.now);
         }
     }
     // Final drain: every remaining entry must match too.

@@ -8,9 +8,9 @@
 //! * [`builders`] — the Figure 6 three-host/two-switch testbed, plus chains,
 //!   rings and the random irregular generator used by the loaded-network
 //!   experiments;
-//! * [`partition`] — the deterministic switch-graph partitioner feeding the
-//!   sharded parallel engine (`itb_sim::par`): balanced shards, minimized
-//!   edge cut, hosts pinned to their attachment switch;
+//! * [`partition`] — the deterministic switch-graph partitioner behind the
+//!   hybrid flow/packet engine's region plans: balanced regions, minimized
+//!   edge cut;
 //! * [`spanning`] — BFS spanning trees over the switch graph;
 //! * [`updown`] — the up\*/down\* link orientation (up end = closer to the
 //!   root; ties broken by lower switch id) that the routing crate enforces.

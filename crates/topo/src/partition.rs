@@ -1,17 +1,15 @@
-//! Deterministic graph partitioner for the parallel simulation engine.
+//! Deterministic switch-graph partitioner for the hybrid flow/packet
+//! engine's regions.
 //!
-//! The conservative PDES engine (`itb_sim::par`) shards the cluster by
-//! *switch*: each switch, its input ports, its outgoing cables and every
-//! host attached to it belong to exactly one shard. Host links are never
-//! cut (a host always shards with its switch), so the only cross-shard
-//! traffic is switch-to-switch cables — whose propagation delay is the
-//! engine's free lookahead bound.
+//! The partition assigns every switch to exactly one region (a *shard*);
+//! a [`RegionPlan`] then gives each region a modelling fidelity. Hosts
+//! belong to the region of their attachment switch.
 //!
 //! The partitioner must be a pure function of `(topology, shards, seed)`:
-//! the parallel run's event order depends on the shard assignment, and the
-//! determinism contract ("byte-identical to sequential") requires the
-//! assignment itself to be reproducible. Everything here iterates in id
-//! order or seeded-[`SimRng`] order; no hash-map iteration is involved.
+//! which messages the flow engine carries depends on the region
+//! assignment, and reproducible runs require the assignment itself to be
+//! reproducible. Everything here iterates in id order or seeded-[`SimRng`]
+//! order; no hash-map iteration is involved.
 //!
 //! Algorithm: seeded-start BFS over the switch graph produces a locality
 //! preserving visit order; the order is chunked into `shards` contiguous
@@ -20,29 +18,16 @@
 //! switches to a neighbouring shard when that strictly reduces the edge
 //! cut without unbalancing or emptying a shard.
 
-use crate::{HostId, LinkId, SwitchId, Topology};
-use itb_sim::{narrow, SimDuration, SimRng};
+use crate::{SwitchId, Topology};
+use itb_sim::{narrow, SimRng};
 
-/// A shard assignment of every switch and host, plus the cut summary the
-/// parallel engine needs to derive its lookahead window.
+/// A shard (region) assignment of every switch.
 #[derive(Debug, Clone)]
 pub struct Partition {
     /// Number of shards actually used (≤ requested; compact ids `0..shards`).
     pub shards: u32,
     /// Shard of each switch, indexed by `SwitchId::idx()`.
     pub shard_of_switch: Vec<u32>,
-    /// Shard of each host, indexed by `HostId::idx()` (always the shard of
-    /// the attachment switch).
-    pub shard_of_host: Vec<u32>,
-    /// Every switch-to-switch link whose endpoints land in different shards,
-    /// in link-id order.
-    pub cut_links: Vec<LinkId>,
-    /// `cut_links.len()` — the metric the refinement pass minimizes.
-    pub edge_cut: usize,
-    /// Minimum propagation delay over the cut links (`None` when nothing is
-    /// cut, i.e. a single shard). Cross-shard events lag the sender by at
-    /// least this plus the first flit's serialization time.
-    pub min_cut_propagation: Option<SimDuration>,
 }
 
 impl Partition {
@@ -50,21 +35,6 @@ impl Partition {
     #[inline]
     pub fn shard_of(&self, s: SwitchId) -> u32 {
         self.shard_of_switch[s.idx()]
-    }
-
-    /// Shard owning host `h`.
-    #[inline]
-    pub fn host_shard(&self, h: HostId) -> u32 {
-        self.shard_of_host[h.idx()]
-    }
-
-    /// Per-shard switch weight (1 + attached hosts), for balance reporting.
-    pub fn shard_weights(&self, topo: &Topology) -> Vec<u64> {
-        let mut w = vec![0u64; self.shards as usize];
-        for s in topo.switch_ids() {
-            w[self.shard_of(s) as usize] += switch_weight(topo, s);
-        }
-        w
     }
 }
 
@@ -275,36 +245,9 @@ pub fn partition(topo: &Topology, shards: usize, seed: u64) -> Partition {
         }
     }
 
-    // Hosts follow their attachment switch; host links are never cut.
-    let shard_of_host: Vec<u32> = topo
-        .host_ids()
-        .map(|h| shard_of_switch[topo.host_attachment(h).0.idx()])
-        .collect();
-
-    // Cut summary, in link-id order.
-    let mut cut_links = Vec::new();
-    let mut min_cut_propagation: Option<SimDuration> = None;
-    for lid in topo.link_ids() {
-        let link = topo.link(lid);
-        let (Some(sa), Some(sb)) = (link.a.node.as_switch(), link.b.node.as_switch()) else {
-            continue; // host link: never cut
-        };
-        if shard_of_switch[sa.idx()] != shard_of_switch[sb.idx()] {
-            cut_links.push(lid);
-            min_cut_propagation = Some(match min_cut_propagation {
-                Some(m) if m <= link.propagation => m,
-                _ => link.propagation,
-            });
-        }
-    }
-
     Partition {
         shards: used,
-        edge_cut: cut_links.len(),
         shard_of_switch,
-        shard_of_host,
-        cut_links,
-        min_cut_propagation,
     }
 }
 
@@ -313,16 +256,26 @@ mod tests {
     use super::*;
     use crate::builders;
 
+    /// Switch-to-switch links whose endpoints land in different shards.
+    fn edge_cut(topo: &Topology, p: &Partition) -> usize {
+        topo.link_ids()
+            .filter(|&lid| {
+                let link = topo.link(lid);
+                match (link.a.node.as_switch(), link.b.node.as_switch()) {
+                    (Some(a), Some(b)) => p.shard_of(a) != p.shard_of(b),
+                    _ => false,
+                }
+            })
+            .count()
+    }
+
     #[test]
     fn single_shard_has_no_cut() {
         let topo = builders::chain(8, 2);
         let p = partition(&topo, 1, 42);
         assert_eq!(p.shards, 1);
-        assert_eq!(p.edge_cut, 0);
-        assert!(p.cut_links.is_empty());
-        assert!(p.min_cut_propagation.is_none());
+        assert_eq!(edge_cut(&topo, &p), 0);
         assert!(p.shard_of_switch.iter().all(|&s| s == 0));
-        assert!(p.shard_of_host.iter().all(|&s| s == 0));
     }
 
     #[test]
@@ -330,24 +283,21 @@ mod tests {
         let topo = builders::chain(8, 1);
         let p = partition(&topo, 2, 7);
         assert_eq!(p.shards, 2);
-        assert_eq!(p.edge_cut, 1, "a chain split in two cuts exactly one cable");
-        assert!(p.min_cut_propagation.is_some());
+        assert_eq!(
+            edge_cut(&topo, &p),
+            1,
+            "a chain split in two cuts exactly one cable"
+        );
     }
 
     #[test]
-    fn every_switch_and_host_assigned_within_bounds() {
+    fn every_switch_assigned_within_bounds() {
         let spec = builders::IrregularSpec::evaluation_default(16, 99);
         let topo = builders::random_irregular(&spec);
         let p = partition(&topo, 4, 3);
         assert!(p.shards <= 4 && p.shards >= 1);
         assert_eq!(p.shard_of_switch.len(), topo.num_switches());
-        assert_eq!(p.shard_of_host.len(), topo.num_hosts());
         assert!(p.shard_of_switch.iter().all(|&s| s < p.shards));
-        // Hosts shard with their attachment switch.
-        for h in topo.host_ids() {
-            let (s, _) = topo.host_attachment(h);
-            assert_eq!(p.host_shard(h), p.shard_of(s));
-        }
         // Every shard owns at least one switch.
         let mut seen = vec![false; p.shards as usize];
         for &s in &p.shard_of_switch {
@@ -363,8 +313,6 @@ mod tests {
         let a = partition(&topo, 4, 11);
         let b = partition(&topo, 4, 11);
         assert_eq!(a.shard_of_switch, b.shard_of_switch);
-        assert_eq!(a.shard_of_host, b.shard_of_host);
-        assert_eq!(a.cut_links, b.cut_links);
         let c = partition(&topo, 2, 11);
         assert!(c.shards <= 2);
     }
@@ -379,21 +327,6 @@ mod tests {
             seen[s as usize] = true;
         }
         assert!(seen.iter().all(|&b| b), "compact shard ids, none empty");
-    }
-
-    #[test]
-    fn cut_propagation_never_below_global_min_link_latency() {
-        let spec = builders::IrregularSpec::evaluation_default(24, 77);
-        let topo = builders::random_irregular(&spec);
-        let p = partition(&topo, 4, 1);
-        if let Some(m) = p.min_cut_propagation {
-            let global_min = topo
-                .link_ids()
-                .map(|l| topo.link(l).propagation)
-                .min()
-                .expect("topology has links");
-            assert!(m >= global_min);
-        }
     }
 
     #[test]
@@ -431,7 +364,10 @@ mod tests {
         let spec = builders::IrregularSpec::evaluation_default(64, 2);
         let topo = builders::random_irregular(&spec);
         let p = partition(&topo, 4, 9);
-        let w = p.shard_weights(&topo);
+        let mut w = vec![0u64; p.shards as usize];
+        for s in topo.switch_ids() {
+            w[p.shard_of(s) as usize] += switch_weight(&topo, s);
+        }
         let total: u64 = w.iter().sum();
         let ceiling = (total * 5).div_ceil(4 * u64::from(p.shards)) + 5;
         for &x in &w {

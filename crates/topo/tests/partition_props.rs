@@ -1,6 +1,6 @@
 //! Property-based tests for the topology partitioner (proptest): the
-//! invariants the sharded PDES engine relies on must hold on arbitrary
-//! connected irregular networks, for any shard request.
+//! invariants the hybrid engine's region plans rely on must hold on
+//! arbitrary connected irregular networks, for any shard request.
 
 use itb_topo::builders::{random_irregular, IrregularSpec};
 use itb_topo::{partition, Topology};
@@ -16,20 +16,11 @@ fn build(switches: usize, seed: u64) -> Topology {
     random_irregular(&IrregularSpec::evaluation_default(switches, seed))
 }
 
-/// Minimum propagation delay over every link in the topology — a lower
-/// bound for any cut's minimum.
-fn global_min_prop(topo: &Topology) -> itb_sim::SimDuration {
-    topo.link_ids()
-        .map(|lid| topo.link(lid).propagation)
-        .min()
-        .expect("topology has links")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every switch and host lands in exactly one in-range shard, hosts
-    /// follow their attachment switch, and no shard is empty.
+    /// Every switch lands in exactly one in-range shard, and no shard is
+    /// empty.
     #[test]
     fn assignment_is_complete_and_nonempty((switches, seed, shards) in part_case()) {
         let topo = build(switches, seed);
@@ -37,50 +28,13 @@ proptest! {
         prop_assert!(part.shards >= 1);
         prop_assert!(part.shards as usize <= shards.min(topo.num_switches()));
         prop_assert_eq!(part.shard_of_switch.len(), topo.num_switches());
-        prop_assert_eq!(part.shard_of_host.len(), topo.num_hosts());
         let mut seen = vec![false; part.shards as usize];
         for s in topo.switch_ids() {
             let sh = part.shard_of(s);
             prop_assert!(sh < part.shards);
             seen[sh as usize] = true;
-            for h in topo.hosts_at(s) {
-                prop_assert_eq!(part.host_shard(h), sh);
-            }
         }
         prop_assert!(seen.iter().all(|&b| b), "empty shard: {:?}", seen);
-    }
-
-    /// The cut-link list is exactly the set of switch-to-switch links whose
-    /// endpoints land in different shards (host cables never cross), and
-    /// its recorded minimum propagation — the PDES lookahead input — is
-    /// correct and no smaller than the global link minimum.
-    #[test]
-    fn cut_links_and_lookahead_are_consistent((switches, seed, shards) in part_case()) {
-        let topo = build(switches, seed);
-        let part = partition(&topo, shards, seed);
-        let mut expect_cut = Vec::new();
-        let mut min_prop = None;
-        for lid in topo.link_ids() {
-            let link = topo.link(lid);
-            // Host cables can never be cut: both ends share a shard by
-            // the host-follows-switch rule.
-            if let (Some(a), Some(b)) = (link.a.node.as_switch(), link.b.node.as_switch()) {
-                if part.shard_of(a) != part.shard_of(b) {
-                    expect_cut.push(lid);
-                    min_prop = Some(match min_prop {
-                        None => link.propagation,
-                        Some(m) if link.propagation < m => link.propagation,
-                        Some(m) => m,
-                    });
-                }
-            }
-        }
-        prop_assert_eq!(&part.cut_links, &expect_cut);
-        prop_assert_eq!(part.edge_cut, expect_cut.len());
-        prop_assert_eq!(part.min_cut_propagation, min_prop);
-        if let Some(m) = part.min_cut_propagation {
-            prop_assert!(m >= global_min_prop(&topo));
-        }
     }
 
     /// Same inputs, same partition — the partitioner is a pure function of
@@ -90,9 +44,7 @@ proptest! {
         let topo = build(switches, seed);
         let a = partition(&topo, shards, seed);
         let b = partition(&topo, shards, seed);
+        prop_assert_eq!(a.shards, b.shards);
         prop_assert_eq!(a.shard_of_switch, b.shard_of_switch);
-        prop_assert_eq!(a.shard_of_host, b.shard_of_host);
-        prop_assert_eq!(a.cut_links, b.cut_links);
-        prop_assert_eq!(a.min_cut_propagation, b.min_cut_propagation);
     }
 }

@@ -5,12 +5,12 @@
 //! Three contracts, in escalating strength:
 //!
 //! * **All-packet plans are inert.** A `RegionPlan::all_packet` hybrid run
-//!   schedules zero flow events, so every observable the `par_equivalence`
-//!   suite extracts — dispatched event count, final sim time, the ordered
-//!   delivery log, the metric counters — is byte-identical to a plain
-//!   sequential run. (The state digest itself gains a flow-mode section by
-//!   design, so the comparison is over the observables, which is what the
-//!   CI artifact gates byte-compare.)
+//!   schedules zero flow events, so every order-sensitive observable —
+//!   dispatched event count, final sim time, the ordered delivery log, the
+//!   metric counters — is byte-identical to a plain packet-model run.
+//!   (The state digest itself gains a flow-mode section by design, so the
+//!   comparison is over the observables, which is what the CI artifact
+//!   gates byte-compare.)
 //! * **Mixed-fidelity runs preserve the delivery contract.** Messages
 //!   riding the flow model arrive with the same `(src, dst, msg_id)` set
 //!   and the same per-pair FIFO order as the full packet model; only the
