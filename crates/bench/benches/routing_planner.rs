@@ -1,9 +1,11 @@
 //! Criterion bench: route computation speed — up*/down* BFS vs the ITB
 //! planner's (links, ITBs)-lexicographic Dijkstra, and whole-table builds.
+//! A single route is one search from the source switch plus the O(path)
+//! read-back; a table runs one search per source switch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use itb_routing::planner::{ItbHostSelection, ItbPlanner};
-use itb_routing::updown::shortest_updown;
+use itb_routing::updown::{direct_route, updown_tree};
 use itb_routing::{RouteTable, RoutingPolicy};
 use itb_topo::builders::{random_irregular, IrregularSpec};
 use itb_topo::{HostId, UpDown};
@@ -13,17 +15,19 @@ fn bench_single_routes(c: &mut Criterion) {
     let topo = random_irregular(&IrregularSpec::evaluation_default(16, 1));
     let ud = UpDown::compute_default(&topo);
     let mut g = c.benchmark_group("single_route");
+    let (src, dst) = (HostId(0), HostId(63));
+    let src_sw = topo.host_attachment(src).0;
     g.bench_function("updown_bfs", |b| {
         b.iter(|| {
-            let r = shortest_updown(&topo, &ud, HostId(0), HostId(63)).unwrap();
-            black_box(r)
+            let tree = updown_tree(&topo, &ud, src_sw);
+            black_box(direct_route(&topo, &tree, src, dst).unwrap())
         })
     });
     g.bench_function("itb_planner", |b| {
         let mut p = ItbPlanner::new(ItbHostSelection::First);
         b.iter(|| {
-            let r = p.route(&topo, &ud, HostId(0), HostId(63)).unwrap();
-            black_box(r)
+            let tree = ItbPlanner::search(&topo, &ud, src_sw);
+            black_box(p.assemble(&topo, &tree, src, dst).unwrap())
         })
     });
     g.finish();

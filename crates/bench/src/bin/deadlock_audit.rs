@@ -17,13 +17,14 @@
 //! full route sets of every topology the benchmarks actually run.
 //!
 //! Writes `results/deadlock_audit.json`; the artifact is deterministic and
-//! CI byte-compares a double run. Exits nonzero if any expectation fails.
+//! CI byte-compares a double run and the committed copy. Exits nonzero if
+//! any expectation fails.
 
 use itb_routing::deadlock::ChannelDepGraph;
 use itb_routing::path::{Hop, Segment, SourceRoute};
 use itb_routing::planner::{ItbHostSelection, ItbPlanner};
 use itb_routing::table::{RouteTable, RoutingPolicy};
-use itb_routing::updown::shortest_updown;
+use itb_routing::updown::{direct_route, updown_tree};
 use itb_topo::builders::{fig6_testbed, irregular64, random_irregular, ring, IrregularSpec};
 use itb_topo::{HostId, LinkId, SwitchId, Topology, UpDown};
 use serde::Serialize;
@@ -163,29 +164,29 @@ fn audit_fresh_1024(out: &mut Vec<AuditRecord>) {
     let topo = random_irregular(&spec);
     let n = u16::try_from(topo.num_hosts()).expect("1024 hosts fit u16");
     let ud = UpDown::compute_default(&topo);
-    let pairs: Vec<(HostId, HostId)> = (0..n)
-        .flat_map(|src| {
-            (1..=SAMPLE_DESTS_PER_SOURCE)
-                .map(move |k| (HostId(src), HostId((src + k * SAMPLE_STRIDE) % n)))
-        })
-        .collect();
-
+    // One search tree per source and policy serves all of its sampled
+    // destinations.
+    let pairs = usize::from(n) * usize::from(SAMPLE_DESTS_PER_SOURCE);
     let mut planner = ItbPlanner::new(ItbHostSelection::RoundRobin);
-    let itb_routes: Vec<SourceRoute> = pairs
-        .iter()
-        .map(|&(s, d)| {
-            planner
-                .route(&topo, &ud, s, d)
-                .unwrap_or_else(|e| panic!("fresh1024 itb route {s:?}->{d:?}: {e:?}"))
-        })
-        .collect();
-    let ud_routes: Vec<SourceRoute> = pairs
-        .iter()
-        .map(|&(s, d)| {
-            shortest_updown(&topo, &ud, s, d)
-                .unwrap_or_else(|| panic!("fresh1024 updown route {s:?}->{d:?}: unreachable"))
-        })
-        .collect();
+    let mut itb_routes = Vec::with_capacity(pairs);
+    let mut ud_routes = Vec::with_capacity(pairs);
+    for s in (0..n).map(HostId) {
+        let src_sw = topo.host_attachment(s).0;
+        let itb_tree = ItbPlanner::search(&topo, &ud, src_sw);
+        let ud_tree = updown_tree(&topo, &ud, src_sw);
+        for k in 1..=SAMPLE_DESTS_PER_SOURCE {
+            let d = HostId((s.0 + k * SAMPLE_STRIDE) % n);
+            itb_routes.push(
+                planner
+                    .assemble(&topo, &itb_tree, s, d)
+                    .unwrap_or_else(|e| panic!("fresh1024 itb route {s:?}->{d:?}: {e:?}")),
+            );
+            ud_routes.push(
+                direct_route(&topo, &ud_tree, s, d)
+                    .unwrap_or_else(|| panic!("fresh1024 updown route {s:?}->{d:?}: unreachable")),
+            );
+        }
+    }
     for (label, routes) in [("updown", &ud_routes), ("itb", &itb_routes)] {
         out.push(audit(
             "fresh_irregular1024",
@@ -193,7 +194,7 @@ fn audit_fresh_1024(out: &mut Vec<AuditRecord>) {
             &topo,
             routes.iter(),
             routes.len(),
-            pairs.len(),
+            pairs,
             true,
         ));
     }

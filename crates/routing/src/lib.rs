@@ -17,7 +17,8 @@
 //! * [`path`] — path and multi-segment route types;
 //! * [`wire`] — the packet header encoding of the paper's Figure 3 (route
 //!   bytes, ITB tag + remaining-length, packet type, CRC-8);
-//! * [`table`] — per-host route tables as installed by the GM mapper;
+//! * [`table`] — per-host route tables as installed by the GM mapper,
+//!   built from one search per source switch plus O(path) per pair;
 //! * [`deadlock`] — channel-dependency-graph acyclicity checker (the formal
 //!   argument that ITB segmentation preserves deadlock freedom);
 //! * [`metrics`] — path-length / traffic-balance statistics behind the

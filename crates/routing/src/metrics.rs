@@ -4,6 +4,7 @@
 
 use crate::path::SourceRoute;
 use crate::table::RouteTable;
+use crate::updown::{minimal_tree, SearchTree};
 use itb_topo::{Node, SwitchId, Topology, UpDown};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -45,8 +46,10 @@ pub fn analyze(topo: &Topology, ud: &UpDown, table: &RouteTable) -> RouteSetMetr
     // per-channel reporting deterministic by construction (detlint D001).
     let mut load: BTreeMap<(u32, bool), u64> = BTreeMap::new();
 
-    // Cache of min distances per (src switch, dst switch) is overkill here;
-    // recompute per route via BFS once per source host instead.
+    // Minimal link counts come from one unconstrained BFS tree per source
+    // switch: the table iterates source-major, so the tree is rebuilt only
+    // when the source switch changes.
+    let mut min_tree = None;
     for route in table.iter() {
         n += 1;
         let links = route_links(route);
@@ -56,9 +59,11 @@ pub fn analyze(topo: &Topology, ud: &UpDown, table: &RouteTable) -> RouteSetMetr
         if visits_switch(route, root) {
             root_crossing += 1;
         }
-        let min =
-            // detlint::allow(S001, figure routes connect distinct hosts)
-            crate::updown::min_crossings(topo, route.src, route.dst).expect("distinct hosts") - 1;
+        let src_sw = topo.host_attachment(route.src).0;
+        let min = SearchTree::reuse(&mut min_tree, src_sw, || minimal_tree(topo, src_sw))
+            .links_to(topo.host_attachment(route.dst).0)
+            // detlint::allow(S001, validated topologies are connected)
+            .expect("connected topology");
         if links == min {
             minimal += 1;
         }

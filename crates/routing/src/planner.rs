@@ -13,11 +13,14 @@
 //! violating switch of any minimal path), the search transparently falls
 //! back to longer paths — in the worst case the pure up\*/down\* route, so
 //! the planned route is never longer than the up\*/down\* one.
+//!
+//! The search depends only on the source switch: one Dijkstra per source
+//! switch ([`ItbPlanner::search`]) serves the routes to every destination,
+//! each read back in O(path) ([`ItbPlanner::assemble`]).
 
 use crate::path::{Hop, Segment, SourceRoute};
-use itb_sim::narrow;
-use itb_topo::updown::Direction;
-use itb_topo::{HostId, PortIx, SwitchId, Topology, UpDown};
+use crate::updown::{DirState, SearchTree};
+use itb_topo::{HostId, SwitchId, Topology, UpDown};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -33,7 +36,7 @@ pub enum ItbHostSelection {
     RoundRobin,
 }
 
-/// Errors from [`ItbPlanner::route`].
+/// Errors from [`ItbPlanner::route`] and [`ItbPlanner::assemble`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlannerError {
     /// Source and destination are the same host.
@@ -60,37 +63,21 @@ impl std::fmt::Display for PlannerError {
 
 impl std::error::Error for PlannerError {}
 
-/// Direction component of the search state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Dir {
-    Start,
-    Up,
-    Down,
-}
-
-impl Dir {
-    fn after(d: Direction) -> Dir {
-        match d {
-            Direction::Up => Dir::Up,
-            Direction::Down => Dir::Down,
-        }
-    }
-    fn code(self) -> usize {
-        match self {
-            Dir::Start => 0,
-            Dir::Up => 1,
-            Dir::Down => 2,
-        }
-    }
-}
-
 /// The ITB route planner. Holds round-robin state, so reuse one instance
 /// while computing a whole route table.
+///
+/// Planning is two steps: [`ItbPlanner::search`] runs one Dijkstra from a
+/// source switch, and [`ItbPlanner::assemble`] reads each route out of the
+/// resulting tree in O(path). A route table therefore costs one search per
+/// source switch plus O(path) per host pair.
 #[derive(Debug)]
 pub struct ItbPlanner {
     selection: ItbHostSelection,
     /// Per-switch rotation cursor for [`ItbHostSelection::RoundRobin`].
     rr_cursor: Vec<usize>,
+    /// Scratch for the walk back from a destination: `(hop, itb_before)`,
+    /// last hop first.
+    path: Vec<(Hop, bool)>,
 }
 
 impl ItbPlanner {
@@ -99,10 +86,14 @@ impl ItbPlanner {
         ItbPlanner {
             selection,
             rr_cursor: Vec::new(),
+            path: Vec::new(),
         }
     }
 
-    /// Compute the minimal-with-ITBs route from `src` to `dst`.
+    /// Compute the minimal-with-ITBs route from `src` to `dst`: one
+    /// [`ItbPlanner::search`] from `src`'s switch, then
+    /// [`ItbPlanner::assemble`]. Planning many routes from one switch,
+    /// search once and assemble each.
     ///
     /// ```
     /// use itb_routing::planner::{ItbHostSelection, ItbPlanner};
@@ -123,64 +114,44 @@ impl ItbPlanner {
         src: HostId,
         dst: HostId,
     ) -> Result<SourceRoute, PlannerError> {
-        if src == dst {
-            return Err(PlannerError::SameHost(src));
-        }
-        if self.rr_cursor.len() < topo.num_switches() {
-            self.rr_cursor.resize(topo.num_switches(), 0);
-        }
-        let (src_sw, _) = topo.host_attachment(src);
-        let (dst_sw, dst_port) = topo.host_attachment(dst);
+        let tree = Self::search(topo, ud, topo.host_attachment(src).0);
+        self.assemble(topo, &tree, src, dst)
+    }
 
-        // Dijkstra over (switch, dir) with cost (links, itbs).
-        let n = topo.num_switches();
-        let idx = |s: SwitchId, d: Dir| s.idx() * 3 + d.code();
-        const INF: (u32, u32) = (u32::MAX, u32::MAX);
-        let mut best = vec![INF; n * 3];
-        // prev[state] = (prev_state, hop, itb_inserted_before_hop)
-        let mut prev: Vec<Option<(usize, Hop, bool)>> = vec![None; n * 3];
+    /// One full Dijkstra from `src_sw` over `(switch, direction)` states
+    /// with the lexicographic cost *(links, ITBs)*. A down→up turn costs
+    /// one ITB and is allowed only at a switch with a host to eject
+    /// through. Ties pop in push order, which follows ascending port order.
+    pub fn search(topo: &Topology, ud: &UpDown, src_sw: SwitchId) -> SearchTree {
+        const INF: (usize, usize) = (usize::MAX, usize::MAX);
+        let mut tree = SearchTree::new(topo, src_sw);
+        let mut best = vec![INF; topo.num_switches() * 3];
         // (cost=(links, itbs), fifo tie-break, state index)
-        type HeapEntry = Reverse<((u32, u32), u64, usize)>;
+        type HeapEntry = Reverse<((usize, usize), u64, usize)>;
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
         let mut seq = 0u64;
-        let unpack = |state: usize| {
-            let s = SwitchId(narrow(state / 3));
-            let d = match state % 3 {
-                0 => Dir::Start,
-                1 => Dir::Up,
-                _ => Dir::Down,
-            };
-            (s, d)
-        };
 
-        let start = idx(src_sw, Dir::Start);
+        let start = DirState::Start.state(src_sw);
         best[start] = (0, 0);
         heap.push(Reverse(((0, 0), seq, start)));
 
-        let mut goal: Option<usize> = None;
         while let Some(Reverse((cost, _, state))) = heap.pop() {
-            let (s, d) = unpack(state);
             if cost > best[state] {
                 continue;
             }
-            if s == dst_sw {
-                goal = Some(state);
-                break;
-            }
+            tree.settle(state, cost.0);
+            let (s, d) = DirState::of_state(state);
             for (port, link, nbr) in topo.switch_neighbors(s) {
                 let dir = ud.direction_from(topo, link, s, port);
-                let (needs_itb, ok) = match (d, dir) {
-                    (Dir::Down, Direction::Up) => (true, !topo.hosts_at(s).is_empty()),
-                    _ => (false, true),
-                };
-                if !ok {
+                let needs_itb = !d.step_allowed(dir);
+                if needs_itb && topo.hosts_at(s).is_empty() {
                     continue;
                 }
-                let ncost = (cost.0 + 1, cost.1 + u32::from(needs_itb));
-                let nstate = idx(nbr, Dir::after(dir));
+                let ncost = (cost.0 + 1, cost.1 + usize::from(needs_itb));
+                let nstate = DirState::after(dir).state(nbr);
                 if ncost < best[nstate] {
                     best[nstate] = ncost;
-                    prev[nstate] = Some((
+                    tree.prev[nstate] = Some((
                         state,
                         Hop {
                             switch: s,
@@ -193,29 +164,50 @@ impl ItbPlanner {
                 }
             }
         }
+        tree
+    }
 
-        let goal = goal.ok_or(PlannerError::Unreachable { src, dst })?;
-
-        // Reconstruct the hop list with ITB markers.
-        let mut rev: Vec<(Hop, bool)> = Vec::new();
-        let mut cur = goal;
-        while let Some((p, hop, itb)) = prev[cur] {
-            rev.push((hop, itb));
-            cur = p;
+    /// Read the route `src → dst` out of `tree`, which must have been
+    /// searched from `src`'s switch: walk back from `dst`'s switch, cut a
+    /// segment at every ITB marker and pick each in-transit host per the
+    /// selection policy. Round-robin cursors advance in call order, so a
+    /// table assembles its pairs in the same order every time.
+    pub fn assemble(
+        &mut self,
+        topo: &Topology,
+        tree: &SearchTree,
+        src: HostId,
+        dst: HostId,
+    ) -> Result<SourceRoute, PlannerError> {
+        if src == dst {
+            return Err(PlannerError::SameHost(src));
         }
-        rev.reverse();
+        assert_eq!(
+            topo.host_attachment(src).0,
+            tree.source_switch(),
+            "route assembled from another switch's tree"
+        );
+        if self.rr_cursor.len() < topo.num_switches() {
+            self.rr_cursor.resize(topo.num_switches(), 0);
+        }
+        let (dst_sw, dst_port) = topo.host_attachment(dst);
+        let steps = tree
+            .steps_back(dst_sw)
+            .ok_or(PlannerError::Unreachable { src, dst })?;
+        let mut path = std::mem::take(&mut self.path);
+        path.clear();
+        path.extend(steps);
 
         // Assemble segments, breaking at ITB markers.
         let mut segments = Vec::new();
         let mut cur_from = src;
         let mut cur_hops: Vec<Hop> = Vec::new();
-        for (hop, itb_here) in rev {
+        for &(hop, itb_here) in path.iter().rev() {
             if itb_here {
                 let host = self.select_itb_host(topo, hop.switch);
-                let host_port = self.switch_port_of_host(topo, host);
                 cur_hops.push(Hop {
                     switch: hop.switch,
-                    out_port: host_port,
+                    out_port: topo.host_attachment(host).1,
                 });
                 segments.push(Segment {
                     from: cur_from,
@@ -226,6 +218,7 @@ impl ItbPlanner {
             }
             cur_hops.push(hop);
         }
+        self.path = path;
         cur_hops.push(Hop {
             switch: dst_sw,
             out_port: dst_port,
@@ -253,11 +246,6 @@ impl ItbPlanner {
             }
         }
     }
-
-    /// The switch port a host's cable plugs into.
-    fn switch_port_of_host(&self, topo: &Topology, h: HostId) -> PortIx {
-        topo.host_attachment(h).1
-    }
 }
 
 impl Default for ItbPlanner {
@@ -271,6 +259,7 @@ mod tests {
     use super::*;
     use crate::updown::{min_crossings, shortest_any, shortest_updown};
     use itb_topo::builders::{chain, random_irregular, ring, IrregularSpec};
+    use itb_topo::updown::Direction;
     use itb_topo::SpanningTree;
 
     fn assert_segments_legal(topo: &Topology, ud: &UpDown, r: &SourceRoute) {

@@ -1,9 +1,12 @@
 //! Route tables — what the GM mapper computes and installs in each NIC.
+//!
+//! A table costs one route search per source switch plus O(path) per host
+//! pair: every route from a switch is read out of that switch's search
+//! tree (see [`crate::updown::SearchTree`]).
 
 use crate::path::SourceRoute;
 use crate::planner::{ItbHostSelection, ItbPlanner, PlannerError};
-use crate::updown::shortest_updown;
-use itb_sim::narrow;
+use crate::updown::{direct_route, updown_tree, SearchTree};
 use itb_topo::{HostId, Topology, UpDown};
 use serde::{Deserialize, Serialize};
 
@@ -39,31 +42,36 @@ impl RouteTable {
     }
 
     /// Compute routes with an explicit in-transit host selection policy.
+    ///
+    /// Cost: one search per source switch (an up\*/down\* BFS or the ITB
+    /// planner's Dijkstra) plus O(path) per host pair. Sources are walked
+    /// in host order and the search tree is reused while consecutive
+    /// sources share a switch, so at most one tree is live.
     pub fn compute_with_selection(
         topo: &Topology,
         ud: &UpDown,
         policy: RoutingPolicy,
         selection: ItbHostSelection,
     ) -> Result<RouteTable, PlannerError> {
-        let n = topo.num_hosts();
         let mut planner = ItbPlanner::new(selection);
-        let mut routes = Vec::with_capacity(n);
-        for s in 0..narrow::<u16, _>(n) {
-            let mut row = Vec::with_capacity(n);
-            for d in 0..narrow::<u16, _>(n) {
-                if s == d {
-                    row.push(None);
-                    continue;
-                }
-                let r = match policy {
-                    RoutingPolicy::UpDown => shortest_updown(topo, ud, HostId(s), HostId(d))
-                        .ok_or(PlannerError::Unreachable {
-                            src: HostId(s),
-                            dst: HostId(d),
-                        })?,
-                    RoutingPolicy::Itb => planner.route(topo, ud, HostId(s), HostId(d))?,
-                };
-                row.push(Some(r));
+        let mut tree = None;
+        let mut routes = Vec::with_capacity(topo.num_hosts());
+        for src in topo.host_ids() {
+            let src_sw = topo.host_attachment(src).0;
+            let tree = SearchTree::reuse(&mut tree, src_sw, || match policy {
+                RoutingPolicy::UpDown => updown_tree(topo, ud, src_sw),
+                RoutingPolicy::Itb => ItbPlanner::search(topo, ud, src_sw),
+            });
+            let mut row = Vec::with_capacity(topo.num_hosts());
+            for dst in topo.host_ids() {
+                row.push(match policy {
+                    _ if src == dst => None,
+                    RoutingPolicy::UpDown => Some(
+                        direct_route(topo, tree, src, dst)
+                            .ok_or(PlannerError::Unreachable { src, dst })?,
+                    ),
+                    RoutingPolicy::Itb => Some(planner.assemble(topo, tree, src, dst)?),
+                });
             }
             routes.push(row);
         }

@@ -1,13 +1,20 @@
 //! Shortest-path computation: plain minimal and up\*/down\*-legal.
+//!
+//! A route search depends only on the source *switch*, so every search here
+//! runs once per source switch and records a [`SearchTree`]; the route to
+//! each destination is then read back from the tree in O(path). A full
+//! route table costs one search per source switch plus O(path) per host
+//! pair.
 
 use crate::path::{Hop, SourceRoute};
+use itb_sim::narrow;
 use itb_topo::updown::Direction;
 use itb_topo::{HostId, SwitchId, Topology, UpDown};
 use std::collections::VecDeque;
 
 /// Direction state carried along a path search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum DirState {
+pub(crate) enum DirState {
     /// No inter-switch link traversed yet (just left the source host).
     Start,
     /// Last traversal was toward an up end.
@@ -17,97 +24,197 @@ enum DirState {
 }
 
 impl DirState {
-    fn step_allowed(self, next: Direction) -> bool {
+    pub(crate) fn step_allowed(self, next: Direction) -> bool {
         !matches!((self, next), (DirState::Down, Direction::Up))
     }
-    fn after(next: Direction) -> DirState {
+    pub(crate) fn after(next: Direction) -> DirState {
         match next {
             Direction::Up => DirState::Up,
             Direction::Down => DirState::Down,
         }
     }
+    /// Index of the search state `(s, self)`: three states per switch.
+    pub(crate) fn state(self, s: SwitchId) -> usize {
+        s.idx() * 3
+            + match self {
+                DirState::Start => 0,
+                DirState::Up => 1,
+                DirState::Down => 2,
+            }
+    }
+    /// Inverse of [`DirState::state`].
+    pub(crate) fn of_state(state: usize) -> (SwitchId, DirState) {
+        let d = match state % 3 {
+            0 => DirState::Start,
+            1 => DirState::Up,
+            _ => DirState::Down,
+        };
+        (SwitchId(narrow(state / 3)), d)
+    }
 }
 
-/// Shortest up\*/down\*-legal route between two hosts, or `None` when the
-/// hosts coincide. Up\*/down\* is connected (every pair is reachable via the
-/// spanning tree), so a route always exists for distinct hosts.
+/// The result of one search from a source switch over `(switch,
+/// direction)` states: the predecessor tree every route from that switch
+/// is read back from.
 ///
-/// Exploration follows ascending port order, so the result is a
+/// For each switch the tree keeps the first of its states to settle. That
+/// is exactly where a search toward that switch alone would stop, because
+/// the settle order does not depend on when the search exits — so a route
+/// read back from the tree equals the one a per-pair search finds.
+#[derive(Debug, Clone)]
+pub struct SearchTree {
+    src_sw: SwitchId,
+    /// `prev[state]`: predecessor state, the hop taken from it, and whether
+    /// an in-transit buffer ejects the packet just before that hop.
+    pub(crate) prev: Vec<Option<(usize, Hop, bool)>>,
+    /// Per switch: its first settled state and that state's link count.
+    goal: Vec<Option<(usize, usize)>>,
+}
+
+impl SearchTree {
+    pub(crate) fn new(topo: &Topology, src_sw: SwitchId) -> Self {
+        let n = topo.num_switches();
+        SearchTree {
+            src_sw,
+            prev: vec![None; n * 3],
+            goal: vec![None; n],
+        }
+    }
+
+    /// The tree in `slot` if it was searched from `src_sw`, else the result
+    /// of `search` stored there. Callers walking hosts in order keep one
+    /// tree live and search again only when the source switch changes.
+    pub(crate) fn reuse(
+        slot: &mut Option<SearchTree>,
+        src_sw: SwitchId,
+        search: impl FnOnce() -> SearchTree,
+    ) -> &SearchTree {
+        let tree = match slot.take() {
+            Some(t) if t.src_sw == src_sw => t,
+            _ => search(),
+        };
+        slot.insert(tree)
+    }
+
+    /// Record that `state`, reached over `links` inter-switch links, has
+    /// settled. Only the first settled state of each switch is kept.
+    pub(crate) fn settle(&mut self, state: usize, links: usize) {
+        self.goal[state / 3].get_or_insert((state, links));
+    }
+
+    /// The switch this tree was searched from.
+    pub(crate) fn source_switch(&self) -> SwitchId {
+        self.src_sw
+    }
+
+    /// Inter-switch links on the tree path to `sw` (`None` if unreached).
+    pub(crate) fn links_to(&self, sw: SwitchId) -> Option<usize> {
+        self.goal[sw.idx()].map(|(_, links)| links)
+    }
+
+    /// The tree path to `sw` as `(hop, itb_before_hop)` steps, last hop
+    /// first; `None` if `sw` was never reached.
+    pub(crate) fn steps_back(
+        &self,
+        sw: SwitchId,
+    ) -> Option<impl Iterator<Item = (Hop, bool)> + '_> {
+        let (goal, _) = self.goal[sw.idx()]?;
+        Some(
+            std::iter::successors(self.prev[goal], |&(p, _, _)| self.prev[p])
+                .map(|(_, hop, itb)| (hop, itb)),
+        )
+    }
+}
+
+/// One BFS tree of up\*/down\*-legal paths from `src_sw` (down→up
+/// transitions forbidden).
+///
+/// Exploration follows ascending port order, so the routes read back are a
 /// deterministic function of the wiring — mirroring the deterministic route
 /// choice of the GM mapper.
-pub fn shortest_updown(
+pub fn updown_tree(topo: &Topology, ud: &UpDown, src_sw: SwitchId) -> SearchTree {
+    bfs(topo, Some(ud), src_sw)
+}
+
+/// One BFS tree of minimal paths from `src_sw`, legality ignored.
+pub(crate) fn minimal_tree(topo: &Topology, src_sw: SwitchId) -> SearchTree {
+    bfs(topo, None, src_sw)
+}
+
+/// The route `src → dst` read back from a BFS tree searched from `src`'s
+/// switch, or `None` when the hosts coincide or `dst` is unreachable.
+pub fn direct_route(
     topo: &Topology,
-    ud: &UpDown,
+    tree: &SearchTree,
     src: HostId,
     dst: HostId,
 ) -> Option<SourceRoute> {
     if src == dst {
         return None;
     }
-    let (src_sw, _) = topo.host_attachment(src);
-    let hops = switch_path(topo, Some(ud), src_sw, dst)?;
+    assert_eq!(
+        topo.host_attachment(src).0,
+        tree.src_sw,
+        "route read back from another switch's tree"
+    );
+    let (dst_sw, dst_port) = topo.host_attachment(dst);
+    let steps = tree.steps_back(dst_sw)?;
+    // Exit to the host: allowed from any direction state (host links carry
+    // no up/down orientation).
+    let mut hops = vec![Hop {
+        switch: dst_sw,
+        out_port: dst_port,
+    }];
+    hops.extend(steps.map(|(hop, itb)| {
+        debug_assert!(!itb, "BFS trees carry no in-transit buffers");
+        hop
+    }));
+    hops.reverse();
     Some(SourceRoute::direct(src, dst, hops))
+}
+
+/// Shortest up\*/down\*-legal route between two hosts, or `None` when the
+/// hosts coincide. Up\*/down\* is connected (every pair is reachable via the
+/// spanning tree), so a route always exists for distinct hosts.
+pub fn shortest_updown(
+    topo: &Topology,
+    ud: &UpDown,
+    src: HostId,
+    dst: HostId,
+) -> Option<SourceRoute> {
+    let tree = updown_tree(topo, ud, topo.host_attachment(src).0);
+    direct_route(topo, &tree, src, dst)
 }
 
 /// Shortest route ignoring up\*/down\* legality (minimal routing).
 pub fn shortest_any(topo: &Topology, src: HostId, dst: HostId) -> Option<SourceRoute> {
-    if src == dst {
-        return None;
-    }
-    let (src_sw, _) = topo.host_attachment(src);
-    let hops = switch_path(topo, None, src_sw, dst)?;
-    Some(SourceRoute::direct(src, dst, hops))
+    let tree = minimal_tree(topo, topo.host_attachment(src).0);
+    direct_route(topo, &tree, src, dst)
 }
 
 /// Minimal number of switch crossings between two hosts, ignoring legality.
 pub fn min_crossings(topo: &Topology, src: HostId, dst: HostId) -> Option<usize> {
-    shortest_any(topo, src, dst).map(|r| r.total_crossings())
+    if src == dst {
+        return None;
+    }
+    let tree = minimal_tree(topo, topo.host_attachment(src).0);
+    tree.links_to(topo.host_attachment(dst).0)
+        .map(|links| links + 1)
 }
 
-/// BFS from `start_sw` to `dst`'s switch; when `ud` is given, forbids
-/// down→up transitions. Returns the hop list including the final hop out to
-/// the destination host.
-fn switch_path(
-    topo: &Topology,
-    ud: Option<&UpDown>,
-    start_sw: SwitchId,
-    dst: HostId,
-) -> Option<Vec<Hop>> {
-    let (dst_sw, dst_port) = topo.host_attachment(dst);
-    // State space: (switch, dir). 3 dir states per switch.
-    let n = topo.num_switches();
-    let idx = |s: SwitchId, d: DirState| {
-        s.idx() * 3
-            + match d {
-                DirState::Start => 0,
-                DirState::Up => 1,
-                DirState::Down => 2,
-            }
-    };
-    // prev[state] = (prev_state, hop taken to get here)
-    let mut prev: Vec<Option<(usize, Hop)>> = vec![None; n * 3];
-    let mut visited = vec![false; n * 3];
-    let start = idx(start_sw, DirState::Start);
+/// BFS from `src_sw` over every reachable state; when `ud` is given,
+/// forbids down→up transitions. A FIFO pops states in push order, so the
+/// first popped state of each switch is also its first visited one.
+fn bfs(topo: &Topology, ud: Option<&UpDown>, src_sw: SwitchId) -> SearchTree {
+    let mut tree = SearchTree::new(topo, src_sw);
+    let mut visited = vec![false; topo.num_switches() * 3];
+    let start = DirState::Start.state(src_sw);
     visited[start] = true;
     let mut queue = VecDeque::new();
-    queue.push_back((start_sw, DirState::Start));
+    queue.push_back((src_sw, DirState::Start, 0));
 
-    while let Some((s, d)) = queue.pop_front() {
-        if s == dst_sw {
-            // Exit to the host: allowed from any direction state (host links
-            // carry no up/down orientation).
-            let mut hops = vec![Hop {
-                switch: s,
-                out_port: dst_port,
-            }];
-            let mut cur = idx(s, d);
-            while let Some((p, hop)) = prev[cur] {
-                hops.push(hop);
-                cur = p;
-            }
-            hops.reverse();
-            return Some(hops);
-        }
+    while let Some((s, d, links)) = queue.pop_front() {
+        tree.settle(d.state(s), links);
         for (port, link, nbr) in topo.switch_neighbors(s) {
             let next_d = match ud {
                 Some(ud) => {
@@ -119,21 +226,22 @@ fn switch_path(
                 }
                 None => DirState::Start, // single state when unconstrained
             };
-            let ni = idx(nbr, next_d);
+            let ni = next_d.state(nbr);
             if !visited[ni] {
                 visited[ni] = true;
-                prev[ni] = Some((
-                    idx(s, d),
+                tree.prev[ni] = Some((
+                    d.state(s),
                     Hop {
                         switch: s,
                         out_port: port,
                     },
+                    false,
                 ));
-                queue.push_back((nbr, next_d));
+                queue.push_back((nbr, next_d, links + 1));
             }
         }
     }
-    None
+    tree
 }
 
 #[cfg(test)]
